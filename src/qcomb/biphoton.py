@@ -135,24 +135,6 @@ def _check_resolution(grid: SpectralGrid, cav: CavitySpec):
         )
 
 
-def _cavity_product(cav, pump_frequency, omega_s, omega_i, dispersion):
-    ts = _cavity.amplitude_transmission(
-        cav,
-        Polarization.SIGNAL,
-        omega_s,
-        dispersion=dispersion,
-        dispersion_center=pump_frequency / 2.0,
-    )
-    ti = _cavity.amplitude_transmission(
-        cav,
-        Polarization.IDLER,
-        omega_i,
-        dispersion=dispersion,
-        dispersion_center=pump_frequency / 2.0,
-    )
-    return ts * ti
-
-
 def assemble_jsa_mono(
     pump: PumpSpec, pm: PhaseMatchSpec, cav: CavitySpec, grid: SpectralGrid
 ) -> Jsa:
@@ -172,7 +154,9 @@ def assemble_jsa_mono(
     wm = grid.omega_minus()
     wp = pump.center_frequency
     c = _spectral.eval_phase_match(pm, wp, wm)
-    c = c * _cavity_product(cav, wp, (wp + wm) / 2.0, (wp - wm) / 2.0, pm.dispersion)
+    c = c * _cavity.cavity_factor(
+        cav, wp, wm, dispersion=pm.dispersion, dispersion_center=wp / 2.0
+    )
     jsa = Jsa(
         grid=grid,
         amplitudes=c,
@@ -201,12 +185,12 @@ def assemble_jsa_broadband(
     c = _spectral.eval_pump(pump, wp_axis) * _spectral.eval_phase_match(
         pm, wp_axis, wm_axis
     )
-    c = c * _cavity_product(
+    c = c * _cavity.cavity_factor(
         cav,
-        pump.center_frequency,
-        (wp_axis + wm_axis) / 2.0,
-        (wp_axis - wm_axis) / 2.0,
-        pm.dispersion,
+        wp_axis,
+        wm_axis,
+        dispersion=pm.dispersion,
+        dispersion_center=pump.center_frequency / 2.0,
     )
     jsa = Jsa(
         grid=grid,

@@ -26,11 +26,6 @@ DELAY_SPAN = 8e-13
 DELAY_POINTS = 401
 
 
-def dip_depth(trace: hom.HomTrace) -> float:
-    """Fractional depth of a dip below the ideal 1/2 baseline."""
-    return (0.5 - float(trace.p_coincidence.min())) / 0.5
-
-
 def baseline_for_visibility(p_min: float, target_visibility: float) -> float:
     """Additive background making (N_tau - N_0)/N_tau equal the target.
 
@@ -73,17 +68,17 @@ def calibrate_dispersion(
         )
         jsa = biphoton.assemble_jsa_mono(pump, pm, cavity, grid)
         trace = hom.trace_for_delayed_state(jsa, flip_delay, delays)
-        return dip_depth(trace)
+        return hom.contrast(trace)
 
     def objective(kappa2):
         return residual_depth(kappa2) - target_residual_depth
 
-    lo, hi = bracket
-    if objective(lo) * objective(hi) > 0:
+    try:
+        return float(brentq(objective, *bracket, xtol=1e-31))
+    except ValueError as exc:  # brentq: f(lo) and f(hi) have the same sign
         raise ValidationError(
             "target residual depth not bracketed; widen the dispersion bracket"
-        )
-    return float(brentq(objective, lo, hi, xtol=1e-31))
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -124,9 +119,7 @@ def paper_operating_point(
     jsa = biphoton.assemble_jsa_mono(pump, pm, cavity, grid)
     delays = np.linspace(-DELAY_SPAN, DELAY_SPAN, DELAY_POINTS)
     trace = hom.coincidence_trace(jsa, delays)
-    baseline = baseline_for_visibility(
-        float(trace.p_coincidence.min()), target_visibility
-    )
+    baseline = baseline_for_visibility(trace.extremum, target_visibility)
     return OperatingPoint(
         pump=pump,
         phase_match=pm,

@@ -85,12 +85,24 @@ def amplitude_transmission(
     return (1.0 - r) * e / (1.0 - r * e * e)
 
 
-def cavity_factor(spec: CavitySpec, omega_plus, omega_minus):
-    """Biphoton cavity factor T_s((w+ + w-)/2) * T_i((w+ - w-)/2)."""
+def cavity_factor(
+    spec: CavitySpec,
+    omega_plus,
+    omega_minus,
+    *,
+    dispersion: float = 0.0,
+    dispersion_center: float = 0.0,
+):
+    """Biphoton cavity factor T_s((w+ + w-)/2) * T_i((w+ - w-)/2).
+
+    ``dispersion`` and ``dispersion_center`` chirp both transmissions as in
+    ``amplitude_transmission``.
+    """
     wp = np.asarray(omega_plus, dtype=float)
     wm = np.asarray(omega_minus, dtype=float)
-    ts = amplitude_transmission(spec, Polarization.SIGNAL, (wp + wm) / 2.0)
-    ti = amplitude_transmission(spec, Polarization.IDLER, (wp - wm) / 2.0)
+    chirp = dict(dispersion=dispersion, dispersion_center=dispersion_center)
+    ts = amplitude_transmission(spec, Polarization.SIGNAL, (wp + wm) / 2.0, **chirp)
+    ti = amplitude_transmission(spec, Polarization.IDLER, (wp - wm) / 2.0, **chirp)
     return ts * ti
 
 

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -89,28 +90,10 @@ def _pump_class_payload(report):
 def _cmd_jsi(run: _Run) -> int:
     config = run.config
     if run.points:
-        grid = config.grid
-        kwargs = dict(
-            span_minus=grid.span_minus,
-            points_minus=run.points,
-            center_minus=grid.center_minus,
-        )
+        grid = replace(config.grid, points_minus=run.points)
         if grid.is_two_dimensional:
-            kwargs.update(
-                span_plus=grid.span_plus,
-                points_plus=run.points,
-                center_plus=grid.center_plus,
-            )
-        config = RunConfig(
-            pump=config.pump,
-            phase_match=config.phase_match,
-            cavity=config.cavity,
-            grid=biphoton.SpectralGrid(**kwargs),
-            delay=config.delay,
-            filter=config.filter,
-            output_dir=config.output_dir,
-            seed=config.seed,
-        )
+            grid = replace(grid, points_plus=run.points)
+        config = replace(config, grid=grid)
     jsa = _assemble(config)
     intensity = biphoton.jsi(jsa)
     meta = {"norm_squared": jsa.norm_squared, "applied_factors": list(jsa.applied_factors)}
@@ -186,14 +169,8 @@ def _cmd_sweep(run: _Run) -> int:
         jsa = biphoton.assemble_jsa_mono(pump, config.phase_match, config.cavity, config.grid)
         jsa = biphoton.apply_delay(jsa, flip)
         s = biphoton.exchange_overlap(jsa)
-        p = hom.coincidence_trace(jsa, delays).p_coincidence
-        depth = 0.5 - float(p.min())
-        height = float(p.max()) - 0.5
-        if depth >= height:
-            vis, kind = depth / 0.5, hom.DIP
-        else:
-            vis, kind = -height / 0.5, hom.PEAK
-        rows.append((d, s.real, vis, kind))
+        trace = hom.coincidence_trace(jsa, delays)
+        rows.append((d, s.real, hom.contrast(trace), trace.extremum_kind))
     near_one_fsr = int(np.argmin(np.abs(detunings - fsr)))
     if not (rows[0][1] > 0.0 and rows[near_one_fsr][1] < 0.0):
         raise ValidationError(

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.signal import CZT
 
 from . import biphoton as _biphoton
+from . import hom
 from .biphoton import SpectralGrid
 from .cavity import CavitySpec
 from .errors import NonConvergenceError, ValidationError
-from .hom import HomTrace
 from .spectral import PhaseMatchSpec, PumpSpec
 
 SPEED_OF_LIGHT = 299792458.0
@@ -27,7 +26,7 @@ SPEED_OF_LIGHT = 299792458.0
 PARAMETER_NAMES = ("bandwidth", "walkoff", "dispersion", "amplitude", "baseline")
 
 
-def simulate_counts(trace: HomTrace, pairs_per_bin: float, seed: int) -> np.ndarray:
+def simulate_counts(trace: hom.HomTrace, pairs_per_bin: float, seed: int) -> np.ndarray:
     """Draw Poisson counts with mean pairs_per_bin * P_c per delay bin."""
     if pairs_per_bin <= 0:
         raise ValidationError("pairs_per_bin must be positive")
@@ -85,55 +84,6 @@ class FitResult:
     confidence: dict = field(default_factory=dict)
 
 
-class _TraceModel:
-    """Fast evaluator of the five-parameter counts model on fixed data delays."""
-
-    def __init__(self, problem: FitProblem):
-        self._problem = problem
-        grid = problem.grid
-        self._omega = grid.omega_minus()
-        self._step = grid.step_minus
-        self._state_phase = np.exp(1j * problem.state_delay * self._omega / 2.0)
-        delays = problem.delays
-        self._delays = delays
-        self._plan = None
-        if delays.size >= 8:
-            dt = np.diff(delays)
-            if np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-                dw = self._omega[1] - self._omega[0]
-                self._plan = CZT(
-                    n=self._omega.size,
-                    m=delays.size,
-                    w=complex(np.exp(-1j * dw * dt[0])),
-                    a=complex(np.exp(1j * dw * delays[0])),
-                )
-                self._post = np.exp(-1j * self._omega[0] * delays)
-
-    def p_coincidence(self, bandwidth, walkoff, dispersion):
-        pm = replace(
-            self._problem.phase_match_template,
-            bandwidth=bandwidth,
-            walkoff=walkoff,
-            dispersion=dispersion,
-        )
-        jsa = _biphoton.assemble_jsa_mono(
-            self._problem.pump, pm, self._problem.cavity, self._problem.grid
-        )
-        c = jsa.amplitudes * self._state_phase
-        kernel = c * np.conj(c[::-1]) * (self._step / jsa.norm_squared)
-        if self._plan is not None:
-            overlap = self._plan(kernel) * self._post
-        else:
-            overlap = np.array(
-                [np.sum(kernel * np.exp(-1j * self._omega * t)) for t in self._delays]
-            )
-        return 0.5 - 0.5 * np.real(overlap)
-
-    def counts(self, theta):
-        bandwidth, walkoff, dispersion, amplitude, baseline = theta
-        return amplitude * self.p_coincidence(bandwidth, walkoff, dispersion) + baseline
-
-
 def fit_hom_trace(
     problem: FitProblem,
     settings: FitSettings = FitSettings(),
@@ -145,7 +95,25 @@ def fit_hom_trace(
     given); the remaining starts are seeded uniform draws. The best
     residual across accepted starts is returned; ties break by start index.
     """
-    model = _TraceModel(problem)
+    grid = problem.grid
+    omega = grid.omega_minus()
+    state_phase = np.exp(1j * problem.state_delay * omega / 2.0)
+    transform = hom.delay_transform(omega, problem.delays)
+
+    def model(theta):
+        bandwidth, walkoff, dispersion, amplitude, baseline = theta
+        pm = replace(
+            problem.phase_match_template,
+            bandwidth=bandwidth,
+            walkoff=walkoff,
+            dispersion=dispersion,
+        )
+        jsa = _biphoton.assemble_jsa_mono(problem.pump, pm, problem.cavity, grid)
+        kernel = hom.exchange_kernel(
+            jsa.amplitudes * state_phase, grid.step_minus, jsa.norm_squared
+        )
+        return amplitude * hom.coincidence_probability(kernel, transform) + baseline
+
     lo = np.array([problem.bounds[n][0] for n in PARAMETER_NAMES])
     hi = np.array([problem.bounds[n][1] for n in PARAMETER_NAMES])
     width = hi - lo
@@ -153,10 +121,10 @@ def fit_hom_trace(
 
     def rss(u):
         theta = lo + np.clip(u, 0.0, 1.0) * width
-        r = counts - model.counts(theta)
+        m = model(theta)
+        r = counts - m
         if problem.poisson_weights:
-            m = np.maximum(model.counts(theta), 1.0)
-            return float(np.sum(r * r / m))
+            return float(np.sum(r * r / np.maximum(m, 1.0)))
         return float(np.sum(r * r))
 
     fatol = 1e-12 * (1.0 + float(np.sum(counts * counts)))

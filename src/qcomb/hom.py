@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import czt
+from scipy.signal import CZT
 
 from . import biphoton as _biphoton
 from .biphoton import Jsa
@@ -43,23 +43,38 @@ class HomTrace:
     extremum_kind: str
 
 
-def _kernel_transform(kernel, omega, delays):
-    """sum_n kernel_n exp(-i omega_n tau_k), via CZT on uniform delay axes."""
+def delay_transform(omega, delays):
+    """Reusable map kernel -> sum_n kernel_n exp(-i omega_n tau_k).
+
+    Uniform delay axes of 8 or more points get a chirp-z plan plus a
+    post-phase; other axes get the direct sum.
+    """
     delays = np.asarray(delays, dtype=float)
     if delays.size >= 8:
         dt = np.diff(delays)
         if np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
             dw = omega[1] - omega[0]
-            out = czt(
-                kernel,
+            plan = CZT(
+                n=omega.size,
                 m=delays.size,
                 w=complex(np.exp(-1j * dw * dt[0])),
                 a=complex(np.exp(1j * dw * delays[0])),
             )
-            return out * np.exp(-1j * omega[0] * delays)
-    return np.array(
+            post = np.exp(-1j * omega[0] * delays)
+            return lambda kernel: plan(kernel) * post
+    return lambda kernel: np.array(
         [np.sum(kernel * np.exp(-1j * omega * t)) for t in delays]
     )
+
+
+def exchange_kernel(amplitudes, step, norm_squared):
+    """C(w) C*(-w) dw / |C|^2 on a grid symmetric about w = 0."""
+    return amplitudes * np.conj(amplitudes[::-1]) * (step / norm_squared)
+
+
+def coincidence_probability(kernel, transform):
+    """P_c = 1/2 - 1/2 Re T(kernel) for a ``delay_transform`` T."""
+    return 0.5 - 0.5 * np.real(transform(kernel))
 
 
 def _estimate_feature_width(delays, p, baseline_guess, i_ext):
@@ -78,22 +93,26 @@ def _estimate_feature_width(delays, p, baseline_guess, i_ext):
     return w
 
 
+def _window_mask(delays, center, window):
+    """Samples whose |tau - center| lies in the (lo, hi) window."""
+    offset = np.abs(delays - center)
+    return (offset >= window[0]) & (offset <= window[1])
+
+
 def _annotate(delays, p):
     depth = 0.5 - p.min()
     height = p.max() - 0.5
     kind = DIP if depth >= height else PEAK
     i_ext = int(np.argmin(p)) if kind == DIP else int(np.argmax(p))
     w = _estimate_feature_width(delays, p, 0.5, i_ext)
-    lo, hi = default_baseline_window(delays, w, center=delays[i_ext])
-    mask = (np.abs(delays - delays[i_ext]) >= lo) & (
-        np.abs(delays - delays[i_ext]) <= hi
-    )
+    window = default_baseline_window(delays, w, center=delays[i_ext])
+    mask = _window_mask(delays, delays[i_ext], window)
     baseline = float(p[mask].mean()) if np.count_nonzero(mask) >= 2 else 0.5
     return baseline, float(p[i_ext]), kind
 
 
 def default_baseline_window(delays, feature_width, center=0.0):
-    """Default window |tau| in [3w, 5w], clipped to the trace span."""
+    """Default window |tau - center| in [3w, 5w], clipped to the trace span."""
     span = max(abs(delays[0] - center), abs(delays[-1] - center))
     lo = 3.0 * feature_width
     hi = min(5.0 * feature_width, span)
@@ -113,10 +132,10 @@ def coincidence_trace(jsa: Jsa, delays) -> HomTrace:
         raise DegenerateStateError("zero-norm state")
     delays = np.asarray(delays, dtype=float)
     omega = jsa.grid.omega_minus()
-    c = jsa.amplitudes
-    kernel = c * np.conj(c[::-1]) * (jsa.grid.step_minus / n2)
-    overlap = _kernel_transform(kernel, omega, delays)
-    p = 0.5 - 0.5 * np.real(overlap)
+    # Kernel first, then the plan: the order of these large allocations
+    # sets the process's peak resident memory.
+    kernel = exchange_kernel(jsa.amplitudes, jsa.grid.step_minus, n2)
+    p = coincidence_probability(kernel, delay_transform(omega, delays))
     baseline, extremum, kind = _annotate(delays, p)
     return HomTrace(
         delays=delays,
@@ -135,34 +154,39 @@ def trace_for_delayed_state(jsa: Jsa, tau: float, delays) -> HomTrace:
 def visibility(trace: HomTrace, baseline_window=None) -> float:
     """(N_tau - N_0)/N_tau: positive for dips, negative for peaks.
 
-    N_tau is the mean coincidence level over the baseline window (a
-    (lo, hi) range of |tau|); N_0 the extremal level inside it.
+    N_tau is the mean coincidence level over the baseline window, a
+    (lo, hi) range of |tau - tau_ext| measured from the extremum at
+    tau_ext; N_0 the extremal level. The value does not depend on where
+    the feature sits on the delay axis.
     """
     delays = trace.delays
     p = trace.p_coincidence
+    i_ext = int(np.argmin(p)) if trace.extremum_kind == DIP else int(np.argmax(p))
+    t_ext = delays[i_ext]
     if baseline_window is None:
-        i_ext = int(np.argmin(p)) if trace.extremum_kind == DIP else int(np.argmax(p))
         w = _estimate_feature_width(delays, p, trace.baseline, i_ext)
-        baseline_window = default_baseline_window(delays, w, center=delays[i_ext])
-    lo, hi = baseline_window
-    mask = (np.abs(delays) >= lo) & (np.abs(delays) <= hi)
+        baseline_window = default_baseline_window(delays, w, center=t_ext)
+    lo, _ = baseline_window
+    mask = _window_mask(delays, t_ext, baseline_window)
     if np.count_nonzero(mask) < 10:
         raise ValidationError("baseline window must contain at least 10 samples")
     n_tau = float(p[mask].mean())
     if n_tau == 0.0:
         raise UndefinedVisibilityError("zero baseline: visibility undefined")
-    inner = np.abs(delays) < lo
-    if not inner.any():
-        raise ValidationError("baseline window leaves no samples near tau = 0")
-    if trace.extremum_kind == DIP:
-        i0 = int(np.argmin(np.where(inner, p, np.inf)))
-    else:
-        i0 = int(np.argmax(np.where(inner, p, -np.inf)))
-    n_0 = float(p[i0])
-    w = _estimate_feature_width(delays, p, n_tau, i0)
-    if abs(delays[i0]) + w / 2.0 > lo:
+    if not lo > 0.0:
+        raise ValidationError("baseline window leaves no samples near the extremum")
+    n_0 = float(p[i_ext])
+    if _estimate_feature_width(delays, p, n_tau, i_ext) / 2.0 > lo:
         warnings.warn("baseline window overlaps the interference feature")
     return (n_tau - n_0) / n_tau
+
+
+def contrast(trace: HomTrace) -> float:
+    """Signed contrast of the extremum against the uncorrelated level 1/2.
+
+    (1/2 - P_ext)/(1/2): positive for dips, negative for peaks.
+    """
+    return (0.5 - trace.extremum) / 0.5
 
 
 def feature_width(trace: HomTrace) -> float:

@@ -104,6 +104,10 @@ class TestCavityFactor:
         ts = amplitude_transmission(cav, Polarization.SIGNAL, (wp + wm) / 2)
         ti = amplitude_transmission(cav, Polarization.IDLER, (wp - wm) / 2)
         assert np.allclose(cavity_factor(cav, wp, wm), ts * ti)
+        chirp = dict(dispersion=1e-22, dispersion_center=wp / 2)
+        ts = amplitude_transmission(cav, Polarization.SIGNAL, (wp + wm) / 2, **chirp)
+        ti = amplitude_transmission(cav, Polarization.IDLER, (wp - wm) / 2, **chirp)
+        assert np.allclose(cavity_factor(cav, wp, wm, **chirp), ts * ti)
 
 
 class TestClassifyPump:

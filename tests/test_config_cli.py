@@ -119,6 +119,31 @@ class TestCli:
         assert meta["pump_class"]["label"] == "resonant"
         assert meta["norm_squared"] > 0
 
+    def test_jsi_points_override_1d(self, tmp_path):
+        cfg = write_config(tmp_path, small_config_doc())
+        assert cli.main(["jsi", "--config", cfg, "--out", str(tmp_path / "out"),
+                         "--points", "301"]) == 0
+        lines = read_csv_lines(tmp_path / "out" / "jsi.csv")
+        assert len(lines) == 2 + 301
+
+    def test_jsi_points_override_2d(self, tmp_path):
+        doc = small_config_doc()
+        doc["pump"].update(mode="gaussian_broadband", linewidth_ghz=40 * FSR_GHZ)
+        doc["grid"] = {
+            "span_minus_ghz": 4 * FSR_GHZ,
+            "points_minus": 129,
+            "span_plus_ghz": 4 * FSR_GHZ,
+            "points_plus": 129,
+            "center_plus_ghz": 2 * 100 * FSR_GHZ,
+        }
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["jsi", "--config", cfg, "--out", str(tmp_path / "out"),
+                         "--points", "101"]) == 0
+        rows = [line.split(",") for line in read_csv_lines(tmp_path / "out" / "jsi.csv")[2:]]
+        # One omega_minus header row, then one row per omega_plus sample.
+        assert len(rows) == 1 + 101
+        assert all(len(row) == 1 + 101 for row in rows)
+
     def test_jsi_deterministic_bytes(self, tmp_path):
         cfg = write_config(tmp_path, small_config_doc())
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

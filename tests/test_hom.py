@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcomb import biphoton, hom
+from qcomb import biphoton, hom, presets
 from qcomb.biphoton import Jsa, SpectralGrid
 from qcomb.errors import (
     GridSymmetryError,
@@ -158,6 +158,29 @@ class TestVisibility:
         )
         with pytest.warns(UserWarning):
             hom.visibility(trace, baseline_window=(0.3 / SIGMA, 8 / SIGMA))
+
+    def test_off_centre_dip_keeps_its_visibility(self, recwarn):
+        # 200 fs of walk-off moves the chip dip to tau = +200 fs; the
+        # baseline window must follow it there.
+        jsa = biphoton.assemble_jsa_mono(
+            presets.chip_pump(),
+            presets.chip_phase_match(walkoff=2e-13),
+            presets.chip_cavity(),
+            presets.chip_grid(),
+        )
+        trace = hom.coincidence_trace(jsa, np.linspace(-8e-13, 8e-13, 801))
+        assert trace.extremum_kind == hom.DIP
+        assert hom.visibility(trace) == pytest.approx(0.999, abs=1e-3)
+        assert not recwarn.list
+
+
+class TestContrast:
+    def test_dip_and_peak(self):
+        delays = np.linspace(-8 / SIGMA, 8 / SIGMA, 801)
+        dip = hom.coincidence_trace(gaussian_state(), delays)
+        peak = hom.coincidence_trace(antisymmetric_state(), delays)
+        assert hom.contrast(dip) == pytest.approx(1.0, abs=1e-9)
+        assert hom.contrast(peak) == pytest.approx(-1.0, abs=1e-9)
 
 
 class TestFeatureWidth:

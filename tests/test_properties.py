@@ -1,7 +1,8 @@
 """Randomized invariant suites (100+ cases each).
 
 Covers: exchange-overlap bound, delay composition, trace symmetry, comb
-revival periodicity, configuration round-trip, and output determinism.
+revival periodicity, delay-shift invariance of the trace observables,
+configuration round-trip, and output determinism.
 """
 
 import json
@@ -85,6 +86,33 @@ def test_comb_revival_period(rng):
             # Anti-resonant comb (odd multiples): anti-periodic over one
             # period, hence periodic over two.
             assert np.max(np.abs(p + p_shift - 1.0)) < 0.01
+
+
+def test_delay_shift_invariance(rng):
+    # Walk-off k1 shifts the trace to P(tau - k1). With k1 a whole number of
+    # delay steps and the feature and its baseline window inside the span,
+    # visibility and FWHM must not change. The weak odd part of the state
+    # keeps the dip off zero (V = 7/9), so V depends on the baseline window.
+    sigma = 2.0 * math.pi * 1e12
+    grid = SpectralGrid(span_minus=12 * sigma, points_minus=4001)
+    w = grid.omega_minus()
+    delays = np.linspace(-40 / sigma, 40 / sigma, 1601)
+    step = delays[1] - delays[0]
+
+    def observables(k1):
+        amps = np.exp(-(w**2) / (2 * sigma**2) + 1j * k1 * w / 2.0)
+        amps = amps * (1 + 0.5 * w / sigma)
+        trace = hom.coincidence_trace(
+            biphoton.Jsa(grid=grid, amplitudes=amps, pump_frequency=2e15), delays
+        )
+        return hom.visibility(trace), hom.feature_width(trace)
+
+    v0, fwhm0 = observables(0.0)
+    assert v0 == pytest.approx(7 / 9, abs=1e-6)
+    for _ in range(N_CASES):
+        v, fwhm = observables(int(rng.integers(-400, 401)) * step)
+        assert v == pytest.approx(v0, abs=1e-9)
+        assert fwhm == pytest.approx(fwhm0, rel=1e-6)
 
 
 positive_freq = st.floats(min_value=1e9, max_value=1e16, allow_nan=False)
