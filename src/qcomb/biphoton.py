@@ -26,6 +26,8 @@ from .spectral import FilterSpec, PhaseMatchSpec, PumpMode, PumpSpec
 
 #: Exchange-overlap magnitude above which a state is labeled (anti)symmetric.
 SYMMETRY_THRESHOLD = 0.9
+#: Pump-tuning tolerance of ``symmetry_report``, in free spectral ranges.
+PUMP_TOLERANCE_FSR = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -274,21 +276,14 @@ def count_comb_peaks(jsi_1d: np.ndarray, threshold_fraction: float) -> int:
     return int(np.count_nonzero(mask))
 
 
-def symmetry_report(
-    jsa: Jsa,
-    cav: CavitySpec,
-    *,
-    threshold: float = SYMMETRY_THRESHOLD,
-    tolerance: float | None = None,
-) -> SymmetryReport:
+def symmetry_report(jsa: Jsa, cav: CavitySpec) -> SymmetryReport:
     """Classify a 1D state by exchange overlap and pump tuning."""
     s = exchange_overlap(jsa)
-    if s.real >= threshold:
+    if s.real >= SYMMETRY_THRESHOLD:
         label = "symmetric"
-    elif s.real <= -threshold:
+    elif s.real <= -SYMMETRY_THRESHOLD:
         label = "anti_symmetric"
     else:
         label = "mixed"
-    tol = tolerance if tolerance is not None else cav.fsr / 8.0
-    pc = _cavity.classify_pump(cav, jsa.pump_frequency, tol)
+    pc = _cavity.classify_pump(cav, jsa.pump_frequency, cav.fsr * PUMP_TOLERANCE_FSR)
     return SymmetryReport(exchange_overlap=s, label=label, pump_class=pc)

@@ -9,7 +9,7 @@ the model itself (a scalar root find per knob).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -24,6 +24,11 @@ from .spectral import PhaseMatchSpec, PumpSpec
 #: Default delay axis for calibration traces: +-400 fs around the dip.
 DELAY_SPAN = 8e-13
 DELAY_POINTS = 401
+
+#: Reference dip observables that ``paper_operating_point`` calibrates to:
+#: the zero-delay visibility and the residual dip depth after the flip.
+TARGET_VISIBILITY = 0.86
+TARGET_RESIDUAL_DEPTH = 0.135
 
 
 def baseline_for_visibility(p_min: float, target_visibility: float) -> float:
@@ -59,13 +64,7 @@ def calibrate_dispersion(
     delays = np.linspace(-DELAY_SPAN, DELAY_SPAN, DELAY_POINTS)
 
     def residual_depth(kappa2):
-        pm = PhaseMatchSpec(
-            degeneracy_frequency=phase_match.degeneracy_frequency,
-            bandwidth=phase_match.bandwidth,
-            walkoff=phase_match.walkoff,
-            dispersion=kappa2,
-            shape=phase_match.shape,
-        )
+        pm = replace(phase_match, dispersion=kappa2)
         jsa = biphoton.assemble_jsa_mono(pump, pm, cavity, grid)
         trace = hom.trace_for_delayed_state(jsa, flip_delay, delays)
         return hom.contrast(trace)
@@ -94,9 +93,7 @@ class OperatingPoint:
 
 
 @lru_cache(maxsize=1)
-def paper_operating_point(
-    target_visibility: float = 0.86, target_residual_depth: float = 0.135
-) -> OperatingPoint:
+def paper_operating_point() -> OperatingPoint:
     """Chip parameters with dispersion and baseline calibrated.
 
     Dispersion is tuned so the symmetry-flipped state keeps only a small
@@ -113,13 +110,13 @@ def paper_operating_point(
         cavity,
         grid,
         presets.EXCHANGE_FLIP_DELAY,
-        target_residual_depth,
+        TARGET_RESIDUAL_DEPTH,
     )
     pm = presets.chip_phase_match(dispersion=kappa2)
     jsa = biphoton.assemble_jsa_mono(pump, pm, cavity, grid)
     delays = np.linspace(-DELAY_SPAN, DELAY_SPAN, DELAY_POINTS)
     trace = hom.coincidence_trace(jsa, delays)
-    baseline = baseline_for_visibility(trace.extremum, target_visibility)
+    baseline = baseline_for_visibility(trace.extremum, TARGET_VISIBILITY)
     return OperatingPoint(
         pump=pump,
         phase_match=pm,

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, biphoton, estimation, hom
 from .config import RunConfig, parse_config
 from .errors import DataFormatError, QcombError, ValidationError
-from .spectral import PumpMode, PumpSpec
+from .spectral import PumpMode
 
 #: Half-span of the default delay axis, in units of 1/bandwidth.
 _DELAY_HALF_SPAN_FACTOR = 60.0
@@ -161,11 +161,7 @@ def _cmd_sweep(run: _Run) -> int:
     delays = _delay_axis(config, 201)
     rows = []
     for d in detunings:
-        pump = PumpSpec(
-            center_frequency=config.pump.center_frequency + d,
-            mode=config.pump.mode,
-            linewidth=config.pump.linewidth,
-        )
+        pump = replace(config.pump, center_frequency=config.pump.center_frequency + d)
         jsa = biphoton.assemble_jsa_mono(pump, config.phase_match, config.cavity, config.grid)
         jsa = biphoton.apply_delay(jsa, flip)
         s = biphoton.exchange_overlap(jsa)
@@ -279,6 +275,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = _Run(args)
+        if args.command in ("sweep", "fit") and run.config.filter is not None:
+            raise ValidationError(f"{args.command} does not apply config.filter; remove the section")
         if args.command == "jsi":
             return _cmd_jsi(run)
         if args.command == "hom":

@@ -5,10 +5,15 @@ accepted under unit-suffixed keys (``_thz``, ``_ghz``, ``_rad_per_s``);
 ``_thz``/``_ghz`` values are ordinary frequencies and are converted to
 angular rad/s internally. Emission always uses the canonical
 ``_rad_per_s`` form so parse(emit(c)) round-trips exactly.
+
+``SCHEMA`` and ``ROOT_FIELDS`` are the only list of configuration keys:
+``parse_config`` and ``emit_config`` both walk them, and a key left out
+of a document takes the default its spec dataclass declares.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from dataclasses import dataclass
@@ -31,6 +36,53 @@ _FREQ_SUFFIXES = {
     "thz": 2.0 * math.pi * 1e12,
 }
 
+# Field kinds. A frequency key is a base name that takes a unit suffix; an
+# enum.Enum subclass as the kind reads a string naming one of its values.
+FREQUENCY, NUMBER, INTEGER, STRING = "frequency", "number", "integer", "string"
+
+#: Sections as (attribute, spec class, required, fields); each field is
+#: (attribute, JSON key, kind, required).
+SCHEMA = (
+    ("pump", PumpSpec, True, (
+        ("mode", "mode", PumpMode, False),
+        ("center_frequency", "center_frequency", FREQUENCY, True),
+        ("linewidth", "linewidth", FREQUENCY, False),
+    )),
+    ("phase_match", PhaseMatchSpec, True, (
+        ("shape", "shape", PhaseMatchShape, False),
+        ("degeneracy_frequency", "degeneracy_frequency", FREQUENCY, True),
+        ("bandwidth", "bandwidth", FREQUENCY, True),
+        ("walkoff", "walkoff_s", NUMBER, False),
+        ("dispersion", "dispersion_s2", NUMBER, False),
+    )),
+    ("cavity", CavitySpec, True, (
+        ("fsr", "fsr", FREQUENCY, True),
+        ("reflectivity_signal", "reflectivity_signal", NUMBER, True),
+        ("reflectivity_idler", "reflectivity_idler", NUMBER, True),
+        ("resonance_offset", "resonance_offset", FREQUENCY, False),
+    )),
+    ("grid", SpectralGrid, True, (
+        ("span_minus", "span_minus", FREQUENCY, True),
+        ("points_minus", "points_minus", INTEGER, True),
+        ("center_minus", "center_minus", FREQUENCY, False),
+        ("span_plus", "span_plus", FREQUENCY, False),
+        ("points_plus", "points_plus", INTEGER, False),
+        ("center_plus", "center_plus", FREQUENCY, False),
+    )),
+    ("filter", FilterSpec, False, (
+        ("shape", "shape", FilterShape, False),
+        ("center", "center", FREQUENCY, True),
+        ("bandwidth", "bandwidth", FREQUENCY, True),
+    )),
+)
+
+#: Top-level scalar fields of the document, as RunConfig fields.
+ROOT_FIELDS = (
+    ("delay", "delay_s", NUMBER, False),
+    ("output_dir", "output_dir", STRING, False),
+    ("seed", "seed", INTEGER, False),
+)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -46,89 +98,80 @@ class RunConfig:
     seed: int = 0
 
 
-class _Section:
-    """Pulls typed fields out of one JSON object, tracking problems."""
+def _object(value, path, problems):
+    if isinstance(value, dict):
+        return dict(value)
+    problems.append(f"{path}: expected an object")
+    return {}
 
-    def __init__(self, data, path, problems):
-        if not isinstance(data, dict):
-            problems.append(f"{path}: expected an object")
-            data = {}
-        self._data = dict(data)
-        self._path = path
-        self._problems = problems
 
-    def frequency(self, base, required=False, default=None):
-        hits = [
-            (s, self._data.pop(f"{base}_{s}"))
-            for s in _FREQ_SUFFIXES
-            if f"{base}_{s}" in self._data
-        ]
-        strays = [k for k in self._data if k.startswith(f"{base}_")]
-        if strays and hits:
-            keys = ", ".join([f"{base}_{s}" for s, _ in hits] + strays)
-            for k in strays:
-                self._data.pop(k)
-            self._problems.append(f"{self._path}.{base}: ambiguous units ({keys})")
-            return default
-        if strays:
-            allowed = ", ".join(_FREQ_SUFFIXES)
-            for k in strays:
-                self._data.pop(k)
-            self._problems.append(
-                f"{self._path}.{strays[0]}: unsupported unit suffix (use {allowed})"
-            )
-            return default
-        if len(hits) > 1:
-            keys = ", ".join(f"{base}_{s}" for s, _ in hits)
-            self._problems.append(f"{self._path}.{base}: ambiguous units ({keys})")
-            return default
-        if not hits:
-            if required:
-                self._problems.append(f"{self._path}.{base}_rad_per_s: missing")
-            return default
-        suffix, value = hits[0]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self._problems.append(f"{self._path}.{base}_{suffix}: expected a number")
-            return default
-        return float(value) * _FREQ_SUFFIXES[suffix]
+def _number(value, where, problems, scale=1.0):
+    """The one reader of numeric values: finite floats, times ``scale``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        problems.append(f"{where}: expected a number")
+        return None
+    try:
+        x = float(value) * scale
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        problems.append(f"{where}: expected a finite number")
+        return None
+    return x
 
-    def scalar(self, key, kind, required=False, default=None):
-        if key not in self._data:
-            if required:
-                self._problems.append(f"{self._path}.{key}: missing")
-            return default
-        value = self._data.pop(key)
-        ok = {
-            "number": isinstance(value, (int, float)) and not isinstance(value, bool),
-            "integer": isinstance(value, int) and not isinstance(value, bool),
-            "string": isinstance(value, str),
-        }[kind]
-        if not ok:
-            self._problems.append(f"{self._path}.{key}: expected a {kind}")
-            return default
-        return float(value) if kind == "number" else value
 
-    def enum(self, key, enum_cls, default):
-        raw = self.scalar(key, "string", default=None)
-        if raw is None:
-            return default
-        try:
-            return enum_cls(raw)
-        except ValueError:
-            allowed = ", ".join(e.value for e in enum_cls)
-            self._problems.append(f"{self._path}.{key}: must be one of {allowed}")
-            return default
+def _frequency(data, path, base, required, problems):
+    hits = [s for s in _FREQ_SUFFIXES if f"{base}_{s}" in data]
+    keys = [f"{base}_{s}" for s in hits]
+    keys += [k for k in data if k.startswith(f"{base}_") and k not in keys]
+    values = [data.pop(k) for k in keys]
+    if hits and len(keys) > 1:
+        problems.append(f"{path}.{base}: ambiguous units ({', '.join(keys)})")
+    elif keys and not hits:
+        allowed = ", ".join(_FREQ_SUFFIXES)
+        problems.append(f"{path}.{keys[0]}: unsupported unit suffix (use {allowed})")
+    elif hits:
+        return _number(values[0], f"{path}.{keys[0]}", problems, _FREQ_SUFFIXES[hits[0]])
+    elif required:
+        problems.append(f"{path}.{base}_rad_per_s: missing")
+    return None
 
-    def subsection(self, key, required=False):
-        if key not in self._data:
-            if required:
-                self._problems.append(f"{self._path}.{key}: missing")
-            return None
-        return _Section(self._data.pop(key), f"{self._path}.{key}", self._problems)
 
-    def finish(self):
-        for key in sorted(self._data):
-            self._problems.append(f"{self._path}.{key}: unknown key")
+def _field(data, path, key, kind, required, problems):
+    """Pop one field from ``data``: its value, or None if absent or invalid."""
+    if kind == FREQUENCY:
+        return _frequency(data, path, key, required, problems)
+    where = f"{path}.{key}"
+    if key not in data:
+        if required:
+            problems.append(f"{where}: missing")
+        return None
+    value = data.pop(key)
+    if kind == NUMBER:
+        return _number(value, where, problems)
+    expected, cls = (INTEGER, int) if kind == INTEGER else (STRING, str)
+    if isinstance(value, bool) or not isinstance(value, cls):
+        problems.append(f"{where}: expected a {expected}")
+        return None
+    if kind in (INTEGER, STRING):
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(e.value for e in kind)
+        problems.append(f"{where}: must be one of {allowed}")
+        return None
+
+
+def _fields(data, path, fields, problems):
+    """Read every field of one section, then report the keys left over."""
+    values = {}
+    for attr, key, kind, required in fields:
+        value = _field(data, path, key, kind, required, problems)
+        if value is not None:
+            values[attr] = value
+    problems.extend(f"{path}.{key}: unknown key" for key in sorted(data))
+    return values
 
 
 def parse_config(text: str) -> RunConfig:
@@ -138,134 +181,43 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
     problems: list[str] = []
-    root = _Section(doc, "config", problems)
-
-    pump_s = root.subsection("pump", required=True)
-    pm_s = root.subsection("phase_match", required=True)
-    cav_s = root.subsection("cavity", required=True)
-    grid_s = root.subsection("grid", required=True)
-    filt_s = root.subsection("filter")
-    delay = root.scalar("delay_s", "number", default=0.0)
-    output_dir = root.scalar("output_dir", "string", default="out")
-    seed = root.scalar("seed", "integer", default=0)
-    root.finish()
-
-    pump = pm = cav = grid = None
-    filt = None
-    if pump_s is not None:
-        mode = pump_s.enum("mode", PumpMode, PumpMode.MONOCHROMATIC)
-        center = pump_s.frequency("center_frequency", required=True, default=1.0)
-        linewidth = pump_s.frequency("linewidth", default=0.0)
-        pump_s.finish()
-        pump = (mode, center, linewidth)
-    if pm_s is not None:
-        shape = pm_s.enum("shape", PhaseMatchShape, PhaseMatchShape.SINC)
-        degeneracy = pm_s.frequency("degeneracy_frequency", required=True, default=1.0)
-        bandwidth = pm_s.frequency("bandwidth", required=True, default=1.0)
-        walkoff = pm_s.scalar("walkoff_s", "number", default=0.0)
-        dispersion = pm_s.scalar("dispersion_s2", "number", default=0.0)
-        pm_s.finish()
-        pm = (degeneracy, bandwidth, walkoff, dispersion, shape)
-    if cav_s is not None:
-        fsr = cav_s.frequency("fsr", required=True, default=1.0)
-        r_s = cav_s.scalar("reflectivity_signal", "number", required=True, default=0.0)
-        r_i = cav_s.scalar("reflectivity_idler", "number", required=True, default=0.0)
-        offset = cav_s.frequency("resonance_offset", default=0.0)
-        cav_s.finish()
-        cav = (fsr, r_s, r_i, offset)
-    if grid_s is not None:
-        span_minus = grid_s.frequency("span_minus", required=True, default=1.0)
-        points_minus = grid_s.scalar("points_minus", "integer", required=True, default=3)
-        center_minus = grid_s.frequency("center_minus", default=0.0)
-        span_plus = grid_s.frequency("span_plus")
-        points_plus = grid_s.scalar("points_plus", "integer")
-        center_plus = grid_s.frequency("center_plus")
-        grid_s.finish()
-        grid = (span_minus, points_minus, center_minus, span_plus, points_plus, center_plus)
-    if filt_s is not None:
-        f_shape = filt_s.enum("shape", FilterShape, FilterShape.GAUSSIAN)
-        f_center = filt_s.frequency("center", required=True, default=1.0)
-        f_bandwidth = filt_s.frequency("bandwidth", required=True, default=1.0)
-        filt_s.finish()
-        filt = (f_center, f_bandwidth, f_shape)
-
+    root = _object(doc, "config", problems)
+    # Take every section before the root scalars, so a section that is not
+    # an object is reported first.
+    taken = []
+    for name, cls, required, fields in SCHEMA:
+        if name in root:
+            section = _object(root.pop(name), f"config.{name}", problems)
+            taken.append((name, cls, fields, section))
+        elif required:
+            problems.append(f"config.{name}: missing")
+    top = _fields(root, "config", ROOT_FIELDS, problems)
+    specs = [
+        (name, cls, _fields(section, f"config.{name}", fields, problems))
+        for name, cls, fields, section in taken
+    ]
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+    return RunConfig(**{name: cls(**values) for name, cls, values in specs}, **top)
 
-    return RunConfig(
-        pump=PumpSpec(center_frequency=pump[1], mode=pump[0], linewidth=pump[2]),
-        phase_match=PhaseMatchSpec(
-            degeneracy_frequency=pm[0],
-            bandwidth=pm[1],
-            walkoff=pm[2],
-            dispersion=pm[3],
-            shape=pm[4],
-        ),
-        cavity=CavitySpec(
-            fsr=cav[0],
-            reflectivity_signal=cav[1],
-            reflectivity_idler=cav[2],
-            resonance_offset=cav[3],
-        ),
-        grid=SpectralGrid(
-            span_minus=grid[0],
-            points_minus=grid[1],
-            center_minus=grid[2],
-            span_plus=grid[3],
-            points_plus=grid[4],
-            center_plus=grid[5],
-        ),
-        delay=delay,
-        filter=None
-        if filt is None
-        else FilterSpec(center=filt[0], bandwidth=filt[1], shape=filt[2]),
-        output_dir=output_dir,
-        seed=seed,
-    )
+
+def _emit(obj, fields):
+    doc = {}
+    for attr, key, kind, _ in fields:
+        value = getattr(obj, attr)
+        if value is None:
+            continue
+        if kind == FREQUENCY:
+            key = f"{key}_rad_per_s"
+        doc[key] = value.value if isinstance(value, enum.Enum) else value
+    return doc
 
 
 def emit_config(config: RunConfig) -> str:
     """Serialize a RunConfig as canonical JSON (angular rad/s keys)."""
-    doc = {
-        "pump": {
-            "mode": config.pump.mode.value,
-            "center_frequency_rad_per_s": config.pump.center_frequency,
-            "linewidth_rad_per_s": config.pump.linewidth,
-        },
-        "phase_match": {
-            "shape": config.phase_match.shape.value,
-            "degeneracy_frequency_rad_per_s": config.phase_match.degeneracy_frequency,
-            "bandwidth_rad_per_s": config.phase_match.bandwidth,
-            "walkoff_s": config.phase_match.walkoff,
-            "dispersion_s2": config.phase_match.dispersion,
-        },
-        "cavity": {
-            "fsr_rad_per_s": config.cavity.fsr,
-            "reflectivity_signal": config.cavity.reflectivity_signal,
-            "reflectivity_idler": config.cavity.reflectivity_idler,
-            "resonance_offset_rad_per_s": config.cavity.resonance_offset,
-        },
-        "grid": {
-            "span_minus_rad_per_s": config.grid.span_minus,
-            "points_minus": config.grid.points_minus,
-            "center_minus_rad_per_s": config.grid.center_minus,
-        },
-        "delay_s": config.delay,
-        "output_dir": config.output_dir,
-        "seed": config.seed,
-    }
-    if config.grid.is_two_dimensional:
-        doc["grid"].update(
-            {
-                "span_plus_rad_per_s": config.grid.span_plus,
-                "points_plus": config.grid.points_plus,
-                "center_plus_rad_per_s": config.grid.center_plus,
-            }
-        )
-    if config.filter is not None:
-        doc["filter"] = {
-            "shape": config.filter.shape.value,
-            "center_rad_per_s": config.filter.center,
-            "bandwidth_rad_per_s": config.filter.bandwidth,
-        }
+    doc = _emit(config, ROOT_FIELDS)
+    for name, _, _, fields in SCHEMA:
+        spec = getattr(config, name)
+        if spec is not None:
+            doc[name] = _emit(spec, fields)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -111,7 +111,7 @@ def _annotate(delays, p):
     return baseline, float(p[i_ext]), kind
 
 
-def default_baseline_window(delays, feature_width, center=0.0):
+def default_baseline_window(delays, feature_width, center):
     """Default window |tau - center| in [3w, 5w], clipped to the trace span."""
     span = max(abs(delays[0] - center), abs(delays[-1] - center))
     lo = 3.0 * feature_width

@@ -1,11 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcomb import cli
-from qcomb.config import RunConfig, emit_config, parse_config
+from qcomb.config import ROOT_FIELDS, SCHEMA, RunConfig, emit_config, parse_config
 from qcomb.errors import ConfigError, DataFormatError
 from conftest import FSR
 
@@ -94,6 +95,129 @@ class TestParseConfig:
         config = parse_config(json.dumps(small_config_doc(delay_s=2.5e-12, seed=9)))
         assert parse_config(emit_config(config)) == config
 
+    @pytest.mark.parametrize(
+        "mutate, problems",
+        [
+            (
+                lambda d: d["cavity"].update(fsr_mhz=d["cavity"].pop("fsr_ghz")),
+                ["config.cavity.fsr_mhz: unsupported unit suffix (use rad_per_s, ghz, thz)"],
+            ),
+            (
+                lambda d: d["cavity"].update(fsr_ghz="10"),
+                ["config.cavity.fsr_ghz: expected a number"],
+            ),
+            (
+                lambda d: d["cavity"].update(reflectivity_signal=True),
+                ["config.cavity.reflectivity_signal: expected a number"],
+            ),
+            (
+                lambda d: d["grid"].update(points_minus=513.0),
+                ["config.grid.points_minus: expected a integer"],
+            ),
+            (lambda d: d.update(seed="1"), ["config.seed: expected a integer"]),
+            (lambda d: d.update(output_dir=5), ["config.output_dir: expected a string"]),
+            (lambda d: d["pump"].update(mode=3), ["config.pump.mode: expected a string"]),
+            (
+                lambda d: d["pump"].update(mode="pulsed"),
+                ["config.pump.mode: must be one of monochromatic, gaussian_broadband"],
+            ),
+            (
+                lambda d: d.update(filter={"center_ghz": 1.0, "bandwidth_ghz": 1.0, "shape": "box"}),
+                ["config.filter.shape: must be one of gaussian, tophat"],
+            ),
+            (
+                lambda d: d.update(filter=[]),
+                [
+                    "config.filter: expected an object",
+                    "config.filter.center_rad_per_s: missing",
+                    "config.filter.bandwidth_rad_per_s: missing",
+                ],
+            ),
+            (
+                # A section that is not an object is reported when it is
+                # taken, before the problems of the root scalars.
+                lambda d: d.update(phase_match=5, delay_s="0"),
+                [
+                    "config.phase_match: expected an object",
+                    "config.delay_s: expected a number",
+                    "config.phase_match.degeneracy_frequency_rad_per_s: missing",
+                    "config.phase_match.bandwidth_rad_per_s: missing",
+                ],
+            ),
+        ],
+        ids=[
+            "unsupported-unit", "frequency-not-number", "bool-not-number", "float-not-integer",
+            "string-not-integer", "not-string", "enum-not-string", "pump-mode-not-member",
+            "filter-shape-not-member", "filter-not-object", "section-before-root-scalars",
+        ],
+    )
+    def test_problem_messages(self, mutate, problems):
+        doc = small_config_doc()
+        mutate(doc)
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert str(info.value) == "invalid configuration:\n  " + "\n  ".join(problems)
+
+
+NUMERIC_KEYS = [
+    ("pump", "center_frequency_ghz"),
+    ("pump", "linewidth_ghz"),
+    ("phase_match", "degeneracy_frequency_ghz"),
+    ("phase_match", "bandwidth_ghz"),
+    ("phase_match", "walkoff_s"),
+    ("phase_match", "dispersion_s2"),
+    ("cavity", "fsr_ghz"),
+    ("cavity", "reflectivity_signal"),
+    ("cavity", "reflectivity_idler"),
+    ("cavity", "resonance_offset_ghz"),
+    ("grid", "span_minus_ghz"),
+    ("grid", "center_minus_ghz"),
+    ("grid", "span_plus_ghz"),
+    ("grid", "center_plus_ghz"),
+    ("filter", "center_ghz"),
+    ("filter", "bandwidth_ghz"),
+    (None, "delay_s"),
+]
+
+
+def non_finite_text(section, key, literal):
+    """A valid document, as JSON text, with one numeric key set to ``literal``."""
+    doc = small_config_doc(filter={"center_ghz": 100 * FSR_GHZ, "bandwidth_ghz": 8 * FSR_GHZ})
+    (doc if section is None else doc[section])[key] = "@VALUE@"
+    return json.dumps(doc).replace('"@VALUE@"', literal)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+    def test_rejected_naming_the_key(self, section, key, literal):
+        path = "config" if section is None else f"config.{section}"
+        with pytest.raises(ConfigError, match=f"{path}.{key}: expected a finite number"):
+            parse_config(non_finite_text(section, key, literal))
+
+    def test_cli_exits_1_without_output(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(non_finite_text("phase_match", "bandwidth_ghz", "NaN"))
+        out = tmp_path / "out"
+        assert cli.main(["jsi", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not (out / "jsi.csv").exists()
+
+
+def test_readme_lists_every_config_key():
+    # The README table has one row per key: section, key, unit suffixes,
+    # and "required" or the default.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0] not in ("Section", "---"):
+            rows[(cells[0], cells[1])] = cells[3] == "required"
+    expected = {("(top level)", key): required for _, key, _, required in ROOT_FIELDS}
+    for name, _, _, fields in SCHEMA:
+        expected.update({(name, key): required for _, key, _, required in fields})
+    assert rows == expected
+
 
 def write_config(tmp_path, doc):
     path = tmp_path / "config.json"
@@ -176,6 +300,14 @@ class TestCli:
         # (about 2R/(1+R^2) at R = 0.4), so test signs, not magnitude 1.
         assert re_s[0] > 0.5 and re_s[4] < -0.5
 
+    def test_sweep_rejects_filter(self, tmp_path, capsys):
+        doc = small_config_doc(filter={"center_ghz": 100 * FSR_GHZ, "bandwidth_ghz": FSR_GHZ})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--points", "3"]) == 1
+        assert "config.filter" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_sweep_single_step_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_doc())
         assert cli.main(["sweep", "--config", cfg, "--points", "1",
@@ -207,6 +339,19 @@ class TestCli:
         assert report["converged"] is True
         bw_true = 4 * FSR
         assert report["parameters"]["bandwidth"] == pytest.approx(bw_true, rel=0.05)
+
+    def test_fit_rejects_filter(self, tmp_path, capsys):
+        # The fit model has no filter, so a filtered trace would be fitted
+        # as if unfiltered.
+        doc = small_config_doc(filter={"center_ghz": 100 * FSR_GHZ, "bandwidth_ghz": FSR_GHZ})
+        cfg = write_config(tmp_path, doc)
+        data = tmp_path / "data.csv"
+        taus = np.linspace(-1e-10, 1e-10, 33)
+        data.write_text("tau_s,counts\n" + "".join(f"{t:.6e},500\n" for t in taus))
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 1
+        assert "config.filter" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
 
     def test_fit_missing_data_file(self, tmp_path):
         cfg = write_config(tmp_path, small_config_doc())

@@ -16,7 +16,14 @@ from qcomb import biphoton, cli, hom
 from qcomb.biphoton import SpectralGrid
 from qcomb.cavity import CavitySpec
 from qcomb.config import RunConfig, emit_config, parse_config
-from qcomb.spectral import PhaseMatchSpec, PumpSpec
+from qcomb.spectral import (
+    FilterShape,
+    FilterSpec,
+    PhaseMatchShape,
+    PhaseMatchSpec,
+    PumpMode,
+    PumpSpec,
+)
 from conftest import FSR
 
 N_CASES = 100
@@ -116,30 +123,58 @@ def test_delay_shift_invariance(rng):
 
 
 positive_freq = st.floats(min_value=1e9, max_value=1e16, allow_nan=False)
+signed_freq = st.floats(min_value=-1e13, max_value=1e13)
+points = st.integers(min_value=3, max_value=100001)
+
+
+@st.composite
+def run_configs(draw):
+    """RunConfigs that set every configuration key, in both grid shapes."""
+    fsr = draw(positive_freq)
+    if draw(st.booleans()):  # a 2D grid and a broadband pump
+        pump = PumpSpec(1000 * fsr, PumpMode.GAUSSIAN_BROADBAND, draw(positive_freq))
+        plus = dict(span_plus=draw(positive_freq), points_plus=draw(points), center_plus=1000 * fsr)
+    else:
+        pump = PumpSpec(center_frequency=1000 * fsr)
+        plus = {}
+    grid = SpectralGrid(
+        span_minus=16 * fsr, points_minus=draw(points), center_minus=draw(signed_freq), **plus
+    )
+    filt = draw(
+        st.none()
+        | st.builds(
+            FilterSpec,
+            center=positive_freq,
+            bandwidth=positive_freq,
+            shape=st.sampled_from(FilterShape),
+        )
+    )
+    return RunConfig(
+        pump=pump,
+        phase_match=PhaseMatchSpec(
+            degeneracy_frequency=500 * fsr,
+            bandwidth=draw(positive_freq),
+            walkoff=draw(st.floats(min_value=-1e-9, max_value=1e-9)),
+            dispersion=draw(st.floats(min_value=-1e-24, max_value=1e-24)),
+            shape=draw(st.sampled_from(PhaseMatchShape)),
+        ),
+        cavity=CavitySpec(
+            fsr=fsr,
+            reflectivity_signal=draw(st.floats(min_value=0.0, max_value=0.999)),
+            reflectivity_idler=draw(st.floats(min_value=0.0, max_value=0.999)),
+            resonance_offset=draw(signed_freq),
+        ),
+        grid=grid,
+        delay=draw(st.floats(min_value=-1e-9, max_value=1e-9)),
+        filter=filt,
+        output_dir=draw(st.text(max_size=20)),
+        seed=draw(st.integers(min_value=0, max_value=2**31)),
+    )
 
 
 @settings(max_examples=N_CASES, deadline=None)
-@given(
-    fsr=positive_freq,
-    bw=positive_freq,
-    r_s=st.floats(min_value=0.0, max_value=0.999),
-    r_i=st.floats(min_value=0.0, max_value=0.999),
-    walkoff=st.floats(min_value=-1e-9, max_value=1e-9),
-    delay=st.floats(min_value=-1e-9, max_value=1e-9),
-    points=st.integers(min_value=3, max_value=100001),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-def test_config_round_trip(fsr, bw, r_s, r_i, walkoff, delay, points, seed):
-    config = RunConfig(
-        pump=PumpSpec(center_frequency=1000 * fsr),
-        phase_match=PhaseMatchSpec(
-            degeneracy_frequency=500 * fsr, bandwidth=bw, walkoff=walkoff
-        ),
-        cavity=CavitySpec(fsr=fsr, reflectivity_signal=r_s, reflectivity_idler=r_i),
-        grid=SpectralGrid(span_minus=16 * fsr, points_minus=points),
-        delay=delay,
-        seed=seed,
-    )
+@given(config=run_configs())
+def test_config_round_trip(config):
     assert parse_config(emit_config(config)) == config
 
 
