@@ -8,6 +8,7 @@ which is an exact index map on grids symmetric about w- = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,6 +82,12 @@ class SpectralGrid:
             -self.span_plus / 2.0, self.span_plus / 2.0, self.points_plus
         )
 
+    def axes(self, pump_frequency: float):
+        """(w+, w-) shaped like the amplitudes; w+ is the pump frequency in 1D."""
+        if self.is_two_dimensional:
+            return self.omega_plus()[:, None], self.omega_minus()[None, :]
+        return pump_frequency, self.omega_minus()
+
     def is_symmetric(self) -> bool:
         """True when the w- axis is symmetric about 0 with a center sample."""
         return self.center_minus == 0.0 and self.points_minus % 2 == 1
@@ -152,22 +159,7 @@ def assemble_jsa_mono(
         raise ValidationError("assemble_jsa_mono requires a monochromatic pump")
     if grid.is_two_dimensional:
         raise ValidationError("assemble_jsa_mono requires a 1D grid")
-    _check_resolution(grid, cav)
-    wm = grid.omega_minus()
-    wp = pump.center_frequency
-    c = _spectral.eval_phase_match(pm, wp, wm)
-    c = c * _cavity.cavity_factor(
-        cav, wp, wm, dispersion=pm.dispersion, dispersion_center=wp / 2.0
-    )
-    jsa = Jsa(
-        grid=grid,
-        amplitudes=c,
-        pump_frequency=wp,
-        applied_factors=("phase_match", "cavity"),
-    )
-    if jsa.norm_squared <= 0.0:
-        raise DegenerateStateError("assembled state has zero norm")
-    return jsa
+    return _assemble(pump, pm, cav, grid)
 
 
 def assemble_jsa_broadband(
@@ -181,35 +173,33 @@ def assemble_jsa_broadband(
         raise ValidationError("assemble_jsa_broadband requires a broadband pump")
     if not grid.is_two_dimensional:
         raise ValidationError("assemble_jsa_broadband requires a 2D grid")
+    return _assemble(pump, pm, cav, grid)
+
+
+def _assemble(pump, pm, cav, grid) -> Jsa:
+    """Pump (broadband only) x phase matching x cavity on the grid's axes."""
     _check_resolution(grid, cav)
-    wp_axis = grid.omega_plus()[:, None]
-    wm_axis = grid.omega_minus()[None, :]
-    c = _spectral.eval_pump(pump, wp_axis) * _spectral.eval_phase_match(
-        pm, wp_axis, wm_axis
-    )
+    wp0 = pump.center_frequency
+    wp, wm = grid.axes(wp0)
+    if pump.mode is PumpMode.MONOCHROMATIC:
+        factors = ("phase_match", "cavity")
+        c = _spectral.eval_phase_match(pm, wp, wm)
+    else:
+        factors = ("pump", "phase_match", "cavity")
+        c = _spectral.eval_pump(pump, wp) * _spectral.eval_phase_match(pm, wp, wm)
     c = c * _cavity.cavity_factor(
-        cav,
-        wp_axis,
-        wm_axis,
-        dispersion=pm.dispersion,
-        dispersion_center=pump.center_frequency / 2.0,
+        cav, wp, wm, dispersion=pm.dispersion, dispersion_center=wp0 / 2.0
     )
-    jsa = Jsa(
-        grid=grid,
-        amplitudes=c,
-        pump_frequency=pump.center_frequency,
-        applied_factors=("pump", "phase_match", "cavity"),
-    )
-    if jsa.norm_squared <= 0.0:
-        raise DegenerateStateError("assembled state has zero norm")
+    jsa = Jsa(grid=grid, amplitudes=c, pump_frequency=wp0, applied_factors=factors)
+    if not 0.0 < jsa.norm_squared < math.inf:
+        raise DegenerateStateError("assembled state has zero or non-finite norm")
     return jsa
 
 
 def apply_delay(jsa: Jsa, tau: float) -> Jsa:
     """Relative-delay operator: multiply by exp(i*tau*w-/2)."""
-    phase = np.exp(1j * tau * jsa.grid.omega_minus() / 2.0)
-    if jsa.grid.is_two_dimensional:
-        phase = phase[None, :]
+    _, wm = jsa.grid.axes(jsa.pump_frequency)
+    phase = np.exp(1j * tau * wm / 2.0)
     return replace(
         jsa,
         amplitudes=jsa.amplitudes * phase,
@@ -219,12 +209,7 @@ def apply_delay(jsa: Jsa, tau: float) -> Jsa:
 
 def apply_filter(jsa: Jsa, filt: FilterSpec) -> Jsa:
     """Apply a spectral filter to both photons: F(w_s) * F(w_i)."""
-    wm = jsa.grid.omega_minus()
-    if jsa.grid.is_two_dimensional:
-        wp = jsa.grid.omega_plus()[:, None]
-        wm = wm[None, :]
-    else:
-        wp = jsa.pump_frequency
+    wp, wm = jsa.grid.axes(jsa.pump_frequency)
     f = _spectral.eval_filter(filt, (wp + wm) / 2.0) * _spectral.eval_filter(
         filt, (wp - wm) / 2.0
     )
@@ -238,21 +223,26 @@ def apply_filter(jsa: Jsa, filt: FilterSpec) -> Jsa:
     return out
 
 
+def exchange_norm(jsa: Jsa, operation: str) -> float:
+    """|C|^2 of a 1D state on a grid symmetric about w- = 0; ``operation``
+    names the caller in the error raised when the state is not one."""
+    if jsa.grid.is_two_dimensional:
+        raise ValidationError(f"{operation} is defined for 1D states")
+    if not jsa.grid.is_symmetric():
+        raise GridSymmetryError(f"{operation} requires a grid symmetric about w- = 0")
+    n2 = jsa.norm_squared
+    if not 0.0 < n2 < math.inf:
+        raise DegenerateStateError("zero or non-finite norm")
+    return n2
+
+
 def exchange_overlap(jsa: Jsa) -> complex:
     """Normalized overlap between the state and its particle-swapped mirror.
 
     +1 for exchange-symmetric states, -1 for anti-symmetric ones.
     """
-    if jsa.grid.is_two_dimensional:
-        raise ValidationError("exchange_overlap is defined for 1D states")
-    if not jsa.grid.is_symmetric():
-        raise GridSymmetryError(
-            "exchange_overlap requires a grid symmetric about w- = 0"
-        )
+    n2 = exchange_norm(jsa, "exchange_overlap")
     c = jsa.amplitudes
-    n2 = jsa.norm_squared
-    if n2 <= 0.0:
-        raise DegenerateStateError("zero-norm state")
     return complex(np.sum(c * np.conj(c[::-1])) * jsa.grid.step_minus / n2)
 
 

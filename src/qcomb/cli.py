@@ -40,6 +40,8 @@ class _Run:
         self.config: RunConfig = parse_config(raw.decode("utf-8"))
         self.sha = hashlib.sha256(raw).hexdigest()
         self.seed = args.seed if args.seed is not None else self.config.seed
+        if args.points is not None and args.points < 2:
+            raise ValidationError("--points must be at least 2")
         self.points = args.points
         self.out = Path(args.out) if args.out else Path(self.config.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
@@ -77,19 +79,26 @@ def _assemble(config: RunConfig):
 
 def _delay_axis(config: RunConfig, points):
     half = _DELAY_HALF_SPAN_FACTOR / config.phase_match.bandwidth
-    return np.linspace(-half, half, points or 401)
+    return np.linspace(-half, half, 401 if points is None else points)
 
 
-def _pump_class_payload(report):
+def _symmetry_payload(jsa, cavity):
+    """Exchange overlap, its label and the pump class of a 1D state."""
+    report = biphoton.symmetry_report(jsa, cavity)
     return {
-        "label": report.pump_class.label.value,
-        "nearest_resonant_detuning_rad_per_s": report.pump_class.nearest_resonant_detuning,
+        "symmetry_label": report.label,
+        "exchange_overlap_re": report.exchange_overlap.real,
+        "exchange_overlap_im": report.exchange_overlap.imag,
+        "pump_class": {
+            "label": report.pump_class.label.value,
+            "nearest_resonant_detuning_rad_per_s": report.pump_class.nearest_resonant_detuning,
+        },
     }
 
 
 def _cmd_jsi(run: _Run) -> int:
     config = run.config
-    if run.points:
+    if run.points is not None:
         grid = replace(config.grid, points_minus=run.points)
         if grid.is_two_dimensional:
             grid = replace(grid, points_plus=run.points)
@@ -97,24 +106,19 @@ def _cmd_jsi(run: _Run) -> int:
     jsa = _assemble(config)
     intensity = biphoton.jsi(jsa)
     meta = {"norm_squared": jsa.norm_squared, "applied_factors": list(jsa.applied_factors)}
+    wm = config.grid.omega_minus()
     if config.grid.is_two_dimensional:
-        wm = config.grid.omega_minus()
         wp = config.grid.omega_plus()
         rows = [[""] + [_fmt(w) for w in wm]]
         rows += [[_fmt(wp[i])] + [_fmt(v) for v in intensity[i]] for i in range(wp.size)]
         run.write_csv("jsi.csv", "omega_plus_rad_per_s\\omega_minus_rad_per_s", rows)
     else:
-        wm = config.grid.omega_minus()
         run.write_csv(
             "jsi.csv",
             "omega_minus_rad_per_s,jsi",
             [(wm[i], intensity[i]) for i in range(wm.size)],
         )
-        report = biphoton.symmetry_report(jsa, config.cavity)
-        meta["pump_class"] = _pump_class_payload(report)
-        meta["symmetry_label"] = report.label
-        meta["exchange_overlap_re"] = report.exchange_overlap.real
-        meta["exchange_overlap_im"] = report.exchange_overlap.imag
+        meta.update(_symmetry_payload(jsa, config.cavity))
     run.write_json("jsi_meta.json", meta)
     return 0
 
@@ -133,7 +137,6 @@ def _cmd_hom(run: _Run) -> int:
         width = hom.feature_width(trace)
     except QcombError:
         width = None
-    report = biphoton.symmetry_report(jsa, config.cavity)
     run.write_json(
         "hom_report.json",
         {
@@ -141,10 +144,7 @@ def _cmd_hom(run: _Run) -> int:
             "fwhm_s": width,
             "extremum_kind": trace.extremum_kind,
             "baseline": trace.baseline,
-            "symmetry_label": report.label,
-            "exchange_overlap_re": report.exchange_overlap.real,
-            "exchange_overlap_im": report.exchange_overlap.imag,
-            "pump_class": _pump_class_payload(report),
+            **_symmetry_payload(jsa, config.cavity),
         },
     )
     return 0
@@ -152,9 +152,7 @@ def _cmd_hom(run: _Run) -> int:
 
 def _cmd_sweep(run: _Run) -> int:
     config = run.config
-    steps = run.points or 41
-    if steps < 2:
-        raise ValidationError("sweep needs at least 2 detuning steps")
+    steps = 41 if run.points is None else run.points
     fsr = config.cavity.fsr
     flip = np.pi / fsr
     detunings = np.linspace(0.0, 2.0 * fsr, steps)

@@ -73,6 +73,10 @@ class FitSettings:
     xatol: float = 1e-9  # simplex tolerance in bound-normalized coordinates
     maxiter: int = 2000
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError("fit seed must be non-negative")
+
 
 @dataclass(frozen=True)
 class FitResult:

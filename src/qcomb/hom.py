@@ -16,13 +16,7 @@ from scipy.signal import CZT
 
 from . import biphoton as _biphoton
 from .biphoton import Jsa
-from .errors import (
-    DegenerateStateError,
-    GridSymmetryError,
-    ResolutionError,
-    UndefinedVisibilityError,
-    ValidationError,
-)
+from .errors import ResolutionError, UndefinedVisibilityError, ValidationError
 
 DIP = "dip"
 PEAK = "peak"
@@ -77,20 +71,31 @@ def coincidence_probability(kernel, transform):
     return 0.5 - 0.5 * np.real(transform(kernel))
 
 
-def _estimate_feature_width(delays, p, baseline_guess, i_ext):
-    """Full width where the trace has recovered halfway back to baseline."""
-    half = (p[i_ext] + baseline_guess) / 2.0
-    sign = 1.0 if p[i_ext] < baseline_guess else -1.0
-    lo = i_ext
-    while lo > 0 and sign * (half - p[lo]) > 0:
+def _extremum_index(p, kind):
+    return int(np.argmin(p)) if kind == DIP else int(np.argmax(p))
+
+
+def _half_level_run(p, kind, i_ext, half):
+    """First and last index of the run of samples beyond ``half`` (below it
+    for a dip, above it for a peak) around i_ext; None if p[i_ext] is not."""
+    inside = p < half if kind == DIP else p > half
+    if not inside[i_ext]:
+        return None
+    lo = hi = i_ext
+    while lo > 0 and inside[lo - 1]:
         lo -= 1
-    hi = i_ext
-    while hi < p.size - 1 and sign * (half - p[hi]) > 0:
+    while hi < p.size - 1 and inside[hi + 1]:
         hi += 1
-    w = delays[hi] - delays[lo]
-    if w <= 0:
-        w = (delays[-1] - delays[0]) / 8.0
-    return w
+    return lo, hi
+
+
+def _estimate_feature_width(delays, p, i_ext, baseline_guess):
+    """Full width where the trace has recovered halfway back to baseline."""
+    kind = DIP if p[i_ext] < baseline_guess else PEAK
+    run = _half_level_run(p, kind, i_ext, (p[i_ext] + baseline_guess) / 2.0)
+    # From the first sample back past the half level on each side.
+    w = 0.0 if run is None else delays[min(run[1] + 1, p.size - 1)] - delays[max(run[0] - 1, 0)]
+    return (delays[-1] - delays[0]) / 8.0 if w <= 0 else w
 
 
 def _window_mask(delays, center, window):
@@ -103,8 +108,8 @@ def _annotate(delays, p):
     depth = 0.5 - p.min()
     height = p.max() - 0.5
     kind = DIP if depth >= height else PEAK
-    i_ext = int(np.argmin(p)) if kind == DIP else int(np.argmax(p))
-    w = _estimate_feature_width(delays, p, 0.5, i_ext)
+    i_ext = _extremum_index(p, kind)
+    w = _estimate_feature_width(delays, p, i_ext, 0.5)
     window = default_baseline_window(delays, w, center=delays[i_ext])
     mask = _window_mask(delays, delays[i_ext], window)
     baseline = float(p[mask].mean()) if np.count_nonzero(mask) >= 2 else 0.5
@@ -123,13 +128,7 @@ def default_baseline_window(delays, feature_width, center):
 
 def coincidence_trace(jsa: Jsa, delays) -> HomTrace:
     """Compute the coincidence trace of a 1D state over the given delays."""
-    if jsa.grid.is_two_dimensional:
-        raise ValidationError("coincidence_trace is defined for 1D states")
-    if not jsa.grid.is_symmetric():
-        raise GridSymmetryError("coincidence_trace requires a symmetric grid")
-    n2 = jsa.norm_squared
-    if n2 <= 0.0:
-        raise DegenerateStateError("zero-norm state")
+    n2 = _biphoton.exchange_norm(jsa, "coincidence_trace")
     delays = np.asarray(delays, dtype=float)
     omega = jsa.grid.omega_minus()
     # Kernel first, then the plan: the order of these large allocations
@@ -161,10 +160,11 @@ def visibility(trace: HomTrace, baseline_window=None) -> float:
     """
     delays = trace.delays
     p = trace.p_coincidence
-    i_ext = int(np.argmin(p)) if trace.extremum_kind == DIP else int(np.argmax(p))
+    kind = trace.extremum_kind
+    i_ext = _extremum_index(p, kind)
     t_ext = delays[i_ext]
     if baseline_window is None:
-        w = _estimate_feature_width(delays, p, trace.baseline, i_ext)
+        w = _estimate_feature_width(delays, p, i_ext, trace.baseline)
         baseline_window = default_baseline_window(delays, w, center=t_ext)
     lo, _ = baseline_window
     mask = _window_mask(delays, t_ext, baseline_window)
@@ -176,7 +176,7 @@ def visibility(trace: HomTrace, baseline_window=None) -> float:
     if not lo > 0.0:
         raise ValidationError("baseline window leaves no samples near the extremum")
     n_0 = float(p[i_ext])
-    if _estimate_feature_width(delays, p, n_tau, i_ext) / 2.0 > lo:
+    if _estimate_feature_width(delays, p, i_ext, n_tau) / 2.0 > lo:
         warnings.warn("baseline window overlaps the interference feature")
     return (n_tau - n_0) / n_tau
 
@@ -194,20 +194,11 @@ def feature_width(trace: HomTrace) -> float:
     p = trace.p_coincidence
     delays = trace.delays
     half = (trace.baseline + trace.extremum) / 2.0
-    if trace.extremum_kind == DIP:
-        inside = p < half
-        i_ext = int(np.argmin(p))
-    else:
-        inside = p > half
-        i_ext = int(np.argmax(p))
-    if not inside[i_ext]:
+    kind = trace.extremum_kind
+    run = _half_level_run(p, kind, _extremum_index(p, kind), half)
+    if run is None:
         raise ResolutionError("feature not resolved: extremum sits at half level")
-    lo = i_ext
-    while lo > 0 and inside[lo - 1]:
-        lo -= 1
-    hi = i_ext
-    while hi < p.size - 1 and inside[hi + 1]:
-        hi += 1
+    lo, hi = run
     if hi - lo + 1 < 5:
         raise ResolutionError(
             "fewer than 5 samples inside the FWHM; refine the delay axis"

@@ -69,6 +69,14 @@ class TestAssembly:
         with pytest.raises(ValidationError):
             biphoton.assemble_jsa_mono(pump, fast_phase_match, fast_cavity, fast_grid)
 
+    def test_non_finite_state_rejected(self, fast_phase_match, fast_cavity, fast_grid):
+        # NaN passes every spec comparison; the norm check must catch it.
+        pump = PumpSpec(center_frequency=math.nan)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            DegenerateStateError, match="zero or non-finite norm"
+        ):
+            biphoton.assemble_jsa_mono(pump, fast_phase_match, fast_cavity, fast_grid)
+
     def test_coarse_grid_rejected(self, resonant_pump, fast_phase_match):
         sharp = CavitySpec(fsr=FSR, reflectivity_signal=0.99, reflectivity_idler=0.99)
         grid = SpectralGrid(span_minus=16 * FSR, points_minus=65)

@@ -313,6 +313,17 @@ class TestCli:
         assert cli.main(["sweep", "--config", cfg, "--points", "1",
                          "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command, output", [("jsi", "jsi.csv"), ("hom", "hom_trace.csv"), ("sweep", "sweep.csv")]
+    )
+    def test_points_below_two_rejected(self, tmp_path, capsys, command, output, points):
+        cfg = write_config(tmp_path, small_config_doc())
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--points", points]) == 1
+        assert "qcomb: error: --points must be at least 2" in capsys.readouterr().err
+        assert not (out / output).exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli.main(["jsi", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -351,6 +362,20 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 1
         assert "config.filter" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_fit_rejects_negative_seed(self, tmp_path, capsys, source):
+        cfg = write_config(tmp_path, small_config_doc(seed=-1 if source == "config" else 0))
+        data = tmp_path / "data.csv"
+        taus = np.linspace(-1e-10, 1e-10, 33)
+        data.write_text("tau_s,counts\n" + "".join(f"{t:.6e},500\n" for t in taus))
+        out = tmp_path / "out"
+        argv = ["fit", "--config", cfg, "--out", str(out), "--data", str(data)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        assert cli.main(argv) == 1
+        assert "qcomb: error: fit seed must be non-negative" in capsys.readouterr().err
         assert not (out / "fit_report.json").exists()
 
     def test_fit_missing_data_file(self, tmp_path):

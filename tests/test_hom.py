@@ -6,6 +6,7 @@ import pytest
 from qcomb import biphoton, hom, presets
 from qcomb.biphoton import Jsa, SpectralGrid
 from qcomb.errors import (
+    DegenerateStateError,
     GridSymmetryError,
     ResolutionError,
     UndefinedVisibilityError,
@@ -103,6 +104,19 @@ class TestTraceBasics:
         )
         with pytest.raises(GridSymmetryError):
             hom.coincidence_trace(jsa, np.linspace(-1 / SIGMA, 1 / SIGMA, 11))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("operation", ["exchange_overlap", "coincidence_trace"])
+    def test_non_finite_state_rejected(self, operation, value):
+        jsa = gaussian_state()
+        amplitudes = jsa.amplitudes.copy()
+        amplitudes[100] = value
+        jsa = Jsa(grid=jsa.grid, amplitudes=amplitudes, pump_frequency=jsa.pump_frequency)
+        with pytest.raises(DegenerateStateError, match="zero or non-finite norm"):
+            if operation == "exchange_overlap":
+                biphoton.exchange_overlap(jsa)
+            else:
+                hom.coincidence_trace(jsa, np.linspace(-1 / SIGMA, 1 / SIGMA, 11))
 
     def test_delayed_state_trace_is_shifted(self):
         jsa = gaussian_state()
