@@ -9,6 +9,7 @@ which is an exact index map on grids symmetric about w- = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     OverFilteredError,
     ResolutionError,
     ValidationError,
+    require_finite,
 )
 from .spectral import FilterSpec, PhaseMatchSpec, PumpMode, PumpSpec
 
@@ -48,6 +50,11 @@ class SpectralGrid:
     center_plus: float | None = None
 
     def __post_init__(self):
+        require_finite(self)
+        for name in ("points_minus", "points_plus"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValidationError(f"SpectralGrid.{name} must be an integer, got {value!r}")
         if self.span_minus <= 0 or self.points_minus < 2:
             raise ValidationError("grid needs span_minus > 0 and points_minus >= 2")
         two_d = [self.span_plus, self.points_plus, self.center_plus]
@@ -223,17 +230,20 @@ def apply_filter(jsa: Jsa, filt: FilterSpec) -> Jsa:
     return out
 
 
-def exchange_norm(jsa: Jsa, operation: str) -> float:
-    """|C|^2 of a 1D state on a grid symmetric about w- = 0; ``operation``
-    names the caller in the error raised when the state is not one."""
+def exchange_kernel(jsa: Jsa) -> np.ndarray:
+    """C(w-) C*(-w-) dw- / |C|^2 of a 1D state on a grid symmetric about w- = 0.
+
+    Its sum is the exchange overlap; its delay transform gives the HOM trace.
+    """
     if jsa.grid.is_two_dimensional:
-        raise ValidationError(f"{operation} is defined for 1D states")
+        raise ValidationError("the exchange kernel is defined for 1D states")
     if not jsa.grid.is_symmetric():
-        raise GridSymmetryError(f"{operation} requires a grid symmetric about w- = 0")
+        raise GridSymmetryError("the exchange kernel requires a grid symmetric about w- = 0")
     n2 = jsa.norm_squared
     if not 0.0 < n2 < math.inf:
         raise DegenerateStateError("zero or non-finite norm")
-    return n2
+    c = jsa.amplitudes
+    return c * np.conj(c[::-1]) * (jsa.grid.step_minus / n2)
 
 
 def exchange_overlap(jsa: Jsa) -> complex:
@@ -241,9 +251,7 @@ def exchange_overlap(jsa: Jsa) -> complex:
 
     +1 for exchange-symmetric states, -1 for anti-symmetric ones.
     """
-    n2 = exchange_norm(jsa, "exchange_overlap")
-    c = jsa.amplitudes
-    return complex(np.sum(c * np.conj(c[::-1])) * jsa.grid.step_minus / n2)
+    return complex(np.sum(exchange_kernel(jsa)))
 
 
 def jsi(jsa: Jsa) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 
 class Polarization(enum.Enum):
@@ -38,6 +38,7 @@ class CavitySpec:
     resonance_offset: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.fsr <= 0:
             raise ValidationError("cavity fsr must be positive")
         for r in (self.reflectivity_signal, self.reflectivity_idler):

@@ -153,6 +153,9 @@ def _cmd_hom(run: _Run) -> int:
 def _cmd_sweep(run: _Run) -> int:
     config = run.config
     steps = 41 if run.points is None else run.points
+    if steps < 3:
+        # Two detunings, 0 and 2 FSR, leave no sample near one FSR.
+        raise ValidationError("sweep needs --points of at least 3")
     fsr = config.cavity.fsr
     flip = np.pi / fsr
     detunings = np.linspace(0.0, 2.0 * fsr, steps)
@@ -275,6 +278,8 @@ def main(argv=None) -> int:
         run = _Run(args)
         if args.command in ("sweep", "fit") and run.config.filter is not None:
             raise ValidationError(f"{args.command} does not apply config.filter; remove the section")
+        if args.command == "sweep" and run.config.delay != 0.0:
+            raise ValidationError("sweep applies its own flip delay, not config.delay_s; set it to 0")
         if args.command == "jsi":
             return _cmd_jsi(run)
         if args.command == "hom":

@@ -1,4 +1,7 @@
-"""Exception hierarchy for the qcomb package."""
+"""Exception hierarchy for the qcomb package, and the finiteness check of its specs."""
+
+import dataclasses
+import math
 
 
 class QcombError(Exception):
@@ -7,6 +10,14 @@ class QcombError(Exception):
 
 class ValidationError(QcombError):
     """A spec or parameter violates its invariants."""
+
+
+def require_finite(spec) -> None:
+    """Reject a spec dataclass holding NaN or an infinity in a float field."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{type(spec).__name__}.{f.name} must be finite, got {value!r}")
 
 
 class DeltaPumpError(QcombError):

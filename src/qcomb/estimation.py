@@ -18,7 +18,7 @@ from . import biphoton as _biphoton
 from . import hom
 from .biphoton import SpectralGrid
 from .cavity import CavitySpec
-from .errors import NonConvergenceError, ValidationError
+from .errors import NonConvergenceError, ValidationError, require_finite
 from .spectral import PhaseMatchSpec, PumpSpec
 
 SPEED_OF_LIGHT = 299792458.0
@@ -53,6 +53,9 @@ class FitProblem:
         counts = np.asarray(self.counts, dtype=float)
         if delays.shape != counts.shape or delays.ndim != 1:
             raise ValidationError("delays and counts must be equal-length 1D arrays")
+        if not (np.all(np.isfinite(delays)) and np.all(np.isfinite(counts))):
+            raise ValidationError("delays and counts must be finite")
+        require_finite(self)
         if delays.size < 2 * len(PARAMETER_NAMES):
             raise ValidationError(
                 "need at least twice as many data points as free parameters"
@@ -99,23 +102,19 @@ def fit_hom_trace(
     given); the remaining starts are seeded uniform draws. The best
     residual across accepted starts is returned; ties break by start index.
     """
-    grid = problem.grid
-    omega = grid.omega_minus()
-    state_phase = np.exp(1j * problem.state_delay * omega / 2.0)
-    transform = hom.delay_transform(omega, problem.delays)
+    transform = hom.delay_transform(problem.grid.omega_minus(), problem.delays)
 
     def model(theta):
         bandwidth, walkoff, dispersion, amplitude, baseline = theta
+        # Walk-off and the state delay both multiply the state by exp(i tau w-/2).
         pm = replace(
             problem.phase_match_template,
             bandwidth=bandwidth,
-            walkoff=walkoff,
+            walkoff=walkoff + problem.state_delay,
             dispersion=dispersion,
         )
-        jsa = _biphoton.assemble_jsa_mono(problem.pump, pm, problem.cavity, grid)
-        kernel = hom.exchange_kernel(
-            jsa.amplitudes * state_phase, grid.step_minus, jsa.norm_squared
-        )
+        jsa = _biphoton.assemble_jsa_mono(problem.pump, pm, problem.cavity, problem.grid)
+        kernel = _biphoton.exchange_kernel(jsa)
         return amplitude * hom.coincidence_probability(kernel, transform) + baseline
 
     lo = np.array([problem.bounds[n][0] for n in PARAMETER_NAMES])

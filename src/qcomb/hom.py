@@ -61,11 +61,6 @@ def delay_transform(omega, delays):
     )
 
 
-def exchange_kernel(amplitudes, step, norm_squared):
-    """C(w) C*(-w) dw / |C|^2 on a grid symmetric about w = 0."""
-    return amplitudes * np.conj(amplitudes[::-1]) * (step / norm_squared)
-
-
 def coincidence_probability(kernel, transform):
     """P_c = 1/2 - 1/2 Re T(kernel) for a ``delay_transform`` T."""
     return 0.5 - 0.5 * np.real(transform(kernel))
@@ -128,13 +123,13 @@ def default_baseline_window(delays, feature_width, center):
 
 def coincidence_trace(jsa: Jsa, delays) -> HomTrace:
     """Compute the coincidence trace of a 1D state over the given delays."""
-    n2 = _biphoton.exchange_norm(jsa, "coincidence_trace")
     delays = np.asarray(delays, dtype=float)
-    omega = jsa.grid.omega_minus()
+    if delays.ndim != 1 or delays.size < 2:
+        raise ValidationError("coincidence_trace needs a 1D axis of at least 2 delays")
     # Kernel first, then the plan: the order of these large allocations
     # sets the process's peak resident memory.
-    kernel = exchange_kernel(jsa.amplitudes, jsa.grid.step_minus, n2)
-    p = coincidence_probability(kernel, delay_transform(omega, delays))
+    kernel = _biphoton.exchange_kernel(jsa)
+    p = coincidence_probability(kernel, delay_transform(jsa.grid.omega_minus(), delays))
     baseline, extremum, kind = _annotate(delays, p)
     return HomTrace(
         delays=delays,

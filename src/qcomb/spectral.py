@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeltaPumpError, ValidationError
+from .errors import DeltaPumpError, ValidationError, require_finite
 
 _LN2 = math.log(2.0)
 
@@ -46,6 +46,7 @@ class PumpSpec:
     linewidth: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.center_frequency <= 0:
             raise ValidationError("pump center_frequency must be positive")
         if self.linewidth < 0:
@@ -68,6 +69,7 @@ class PhaseMatchSpec:
     shape: PhaseMatchShape = PhaseMatchShape.SINC
 
     def __post_init__(self):
+        require_finite(self)
         if self.bandwidth <= 0:
             raise ValidationError("phase-match bandwidth must be positive")
 
@@ -81,6 +83,7 @@ class FilterSpec:
     shape: FilterShape = FilterShape.GAUSSIAN
 
     def __post_init__(self):
+        require_finite(self)
         if self.bandwidth <= 0:
             raise ValidationError("filter bandwidth must be positive")
 

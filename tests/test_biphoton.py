@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -58,6 +59,13 @@ class TestSpectralGrid:
         with pytest.raises(ValidationError):
             SpectralGrid(span_minus=1.0, points_minus=1)
 
+    @pytest.mark.parametrize("field", ["points_minus", "points_plus"])
+    @pytest.mark.parametrize("value", [5.0, 2.5])
+    def test_non_integer_points_rejected(self, field, value):
+        fields = dict(span_minus=10.0, points_minus=11, span_plus=4.0, points_plus=5, center_plus=100.0)
+        with pytest.raises(ValidationError, match=f"SpectralGrid.{field} must be an integer"):
+            SpectralGrid(**dict(fields, **{field: value}))
+
 
 class TestAssembly:
     def test_mono_rejects_broadband_pump(self, fast_phase_match, fast_cavity, fast_grid):
@@ -69,13 +77,13 @@ class TestAssembly:
         with pytest.raises(ValidationError):
             biphoton.assemble_jsa_mono(pump, fast_phase_match, fast_cavity, fast_grid)
 
-    def test_non_finite_state_rejected(self, fast_phase_match, fast_cavity, fast_grid):
-        # NaN passes every spec comparison; the norm check must catch it.
-        pump = PumpSpec(center_frequency=math.nan)
-        with np.errstate(invalid="ignore"), pytest.raises(
+    def test_non_finite_state_rejected(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
+        # Finite specs can still give a non-finite state; the norm check must catch it.
+        pm = dataclasses.replace(fast_phase_match, bandwidth=1e-300)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
             DegenerateStateError, match="zero or non-finite norm"
         ):
-            biphoton.assemble_jsa_mono(pump, fast_phase_match, fast_cavity, fast_grid)
+            biphoton.assemble_jsa_mono(resonant_pump, pm, fast_cavity, fast_grid)
 
     def test_coarse_grid_rejected(self, resonant_pump, fast_phase_match):
         sharp = CavitySpec(fsr=FSR, reflectivity_signal=0.99, reflectivity_idler=0.99)
@@ -262,3 +270,28 @@ class TestSymmetryReport:
         report = biphoton.symmetry_report(delayed, cav)
         assert report.label == "anti_symmetric"
         assert report.pump_class.label is PumpClassLabel.ANTI_RESONANT
+
+
+#: One valid instance of each spec dataclass with float fields.
+SPECS = [
+    PumpSpec(center_frequency=200 * FSR, mode=PumpMode.GAUSSIAN_BROADBAND, linewidth=FSR),
+    PhaseMatchSpec(degeneracy_frequency=100 * FSR, bandwidth=4 * FSR, walkoff=1e-12, dispersion=1e-24),
+    FilterSpec(center=100 * FSR, bandwidth=FSR),
+    CavitySpec(fsr=FSR, reflectivity_signal=0.4, reflectivity_idler=0.3, resonance_offset=0.1 * FSR),
+    SpectralGrid(span_minus=16 * FSR, points_minus=11, span_plus=4 * FSR, points_plus=5, center_plus=200 * FSR),
+]
+FLOAT_FIELDS = [
+    (spec, f.name)
+    for spec in SPECS
+    for f in dataclasses.fields(spec)
+    if isinstance(getattr(spec, f.name), float)
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "spec, name", FLOAT_FIELDS, ids=[f"{type(s).__name__}.{n}" for s, n in FLOAT_FIELDS]
+)
+def test_non_finite_spec_field_rejected(spec, name, value):
+    with pytest.raises(ValidationError, match=f"{type(spec).__name__}.{name} must be finite"):
+        dataclasses.replace(spec, **{name: value})

@@ -308,6 +308,27 @@ class TestCli:
         assert "config.filter" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    def test_sweep_rejects_two_points(self, tmp_path, capsys):
+        # Detunings 0 and 2 FSR leave no sample near one FSR.
+        cfg = write_config(tmp_path, small_config_doc())
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--points", "2"]) == 1
+        assert "qcomb: error: sweep needs --points of at least 3" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_sweep_three_points(self, tmp_path):
+        cfg = write_config(tmp_path, small_config_doc())
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--points", "3"]) == 0
+        assert len(read_csv_lines(out / "sweep.csv")) == 2 + 3
+
+    def test_sweep_rejects_delay(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config_doc(delay_s=1e-11))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--points", "3"]) == 1
+        assert "config.delay_s" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_sweep_single_step_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_doc())
         assert cli.main(["sweep", "--config", cfg, "--points", "1",
@@ -362,6 +383,19 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 1
         assert "config.filter" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
+
+    @pytest.mark.parametrize("grid_change", [{"center_minus_ghz": 3.0}, {"points_minus": 512}])
+    def test_fit_rejects_asymmetric_grid(self, tmp_path, capsys, grid_change):
+        doc = small_config_doc()
+        doc["grid"].update(grid_change)
+        cfg = write_config(tmp_path, doc)
+        data = tmp_path / "data.csv"
+        taus = np.linspace(-1e-10, 1e-10, 33)
+        data.write_text("tau_s,counts\n" + "".join(f"{t:.6e},500\n" for t in taus))
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 1
+        assert "requires a grid symmetric about w- = 0" in capsys.readouterr().err
         assert not (out / "fit_report.json").exists()
 
     @pytest.mark.parametrize("source", ["config", "flag"])

@@ -7,7 +7,7 @@ import pytest
 from qcomb import biphoton, estimation, hom
 from qcomb.biphoton import SpectralGrid
 from qcomb.cavity import CavitySpec
-from qcomb.errors import NonConvergenceError, ValidationError
+from qcomb.errors import GridSymmetryError, NonConvergenceError, ValidationError
 from qcomb.estimation import (
     FitProblem,
     FitResult,
@@ -135,9 +135,29 @@ class TestFitProblemValidation:
                 grid=problem.grid,
             )
 
+    @pytest.mark.parametrize("field", ["delays", "counts"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_data_rejected(self, field, value):
+        # Checked before the bounds, so the message names the data.
+        problem, _ = small_problem_parts()
+        data = {"delays": problem.delays.copy(), "counts": problem.counts.copy()}
+        data[field][5] = value
+        with pytest.raises(ValidationError, match="delays and counts must be finite"):
+            replace(problem, **data)
+
 
 class TestFit:
     settings = FitSettings(starts=3, seed=0, xatol=1e-7, maxiter=2000)
+
+    @pytest.mark.parametrize(
+        "grid_change", [{"center_minus": 2 * math.pi * 3e9}, {"points_minus": 512}]
+    )
+    def test_asymmetric_grid_rejected(self, grid_change):
+        # The exchange kernel pairs w- with -w- by reversing the array.
+        problem, _ = small_problem_parts()
+        problem = replace(problem, grid=replace(problem.grid, **grid_change))
+        with pytest.raises(GridSymmetryError):
+            fit_hom_trace(problem, self.settings)
 
     def test_noiseless_recovery(self):
         problem, theta = small_problem_parts()

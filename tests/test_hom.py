@@ -118,6 +118,11 @@ class TestTraceBasics:
             else:
                 hom.coincidence_trace(jsa, np.linspace(-1 / SIGMA, 1 / SIGMA, 11))
 
+    @pytest.mark.parametrize("delays", [[], [0.0]])
+    def test_short_delay_axis_rejected(self, delays):
+        with pytest.raises(ValidationError, match="at least 2 delays"):
+            hom.coincidence_trace(gaussian_state(), delays)
+
     def test_delayed_state_trace_is_shifted(self):
         jsa = gaussian_state()
         tau0 = 1.0 / SIGMA
