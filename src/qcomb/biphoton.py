@@ -131,12 +131,10 @@ def _check_resolution(grid: SpectralGrid, cav: CavitySpec):
     """Reject grids too coarse to resolve the narrowest cavity tooth."""
     widths = []
     for pol in Polarization:
-        if cav.reflectivity(pol) == 0.0:
-            continue
         try:
             widths.append(_cavity.linewidth(cav, pol))
         except ValidationError:
-            # Low-contrast Airy with no FWHM: nothing sharp to resolve.
+            # R = 0 or a low-contrast Airy with no FWHM: nothing sharp to resolve.
             continue
     if not widths:
         return

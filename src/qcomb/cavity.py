@@ -57,14 +57,6 @@ class PumpClass:
     nearest_resonant_detuning: float
 
 
-def _round_trip_half_phase(spec, omega, dispersion=0.0, dispersion_center=0.0):
-    phi = np.pi * (np.asarray(omega, dtype=float) - spec.resonance_offset) / spec.fsr
-    if dispersion != 0.0:
-        d = np.asarray(omega, dtype=float) - dispersion_center
-        phi = phi + dispersion * d * d
-    return phi
-
-
 def amplitude_transmission(
     spec: CavitySpec,
     polarization: Polarization,
@@ -81,7 +73,11 @@ def amplitude_transmission(
     distance from that center.
     """
     r = spec.reflectivity(polarization)
-    phi = _round_trip_half_phase(spec, omega, dispersion, dispersion_center)
+    omega = np.asarray(omega, dtype=float)
+    phi = np.pi * (omega - spec.resonance_offset) / spec.fsr
+    if dispersion != 0.0:
+        d = omega - dispersion_center
+        phi = phi + dispersion * d * d
     e = np.exp(1j * phi)
     return (1.0 - r) * e / (1.0 - r * e * e)
 

@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,11 @@ def _fmt(x) -> str:
 
 
 class _Run:
-    """One invocation: parsed config, provenance, output directory."""
+    """One invocation: parsed config, provenance, output directory.
+
+    Every refusal of a command happens here, before anything is written;
+    the output directory is created with the first file.
+    """
 
     def __init__(self, args):
         path = Path(args.config)
@@ -40,25 +44,40 @@ class _Run:
         self.config: RunConfig = parse_config(raw.decode("utf-8"))
         self.sha = hashlib.sha256(raw).hexdigest()
         self.seed = args.seed if args.seed is not None else self.config.seed
-        if args.points is not None and args.points < 2:
-            raise ValidationError("--points must be at least 2")
         self.points = args.points
+        self.data = args.data
+        command = args.command
+        if self.points is not None:
+            if command == "fit":
+                raise ValidationError("fit takes no --points")
+            if self.points < 2:
+                raise ValidationError("--points must be at least 2")
+            if command == "sweep" and self.points < 3:
+                # Two detunings, 0 and 2 FSR, leave no sample near one FSR.
+                raise ValidationError("sweep needs --points of at least 3")
+        if command in ("sweep", "fit") and self.config.filter is not None:
+            raise ValidationError(f"{command} does not apply config.filter; remove the section")
+        if command == "sweep" and self.config.delay != 0.0:
+            raise ValidationError("sweep applies its own flip delay, not config.delay_s; set it to 0")
+        if command != "fit" and self.data is not None:
+            raise ValidationError("--data is read only by fit")
+        if command == "fit" and self.data is None:
+            raise DataFormatError("fit requires --data <csv path>")
         self.out = Path(args.out) if args.out else Path(self.config.output_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
 
-    @property
-    def provenance(self) -> str:
-        return f"# qcomb {__version__} config_sha256={self.sha}"
+    def _write(self, name, text):
+        self.out.mkdir(parents=True, exist_ok=True)
+        (self.out / name).write_text(text)
 
     def write_csv(self, name, header, rows):
-        lines = [self.provenance, header]
+        lines = [f"# qcomb {__version__} config_sha256={self.sha}", header]
         lines.extend(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) for row in rows)
-        (self.out / name).write_text("\n".join(lines) + "\n")
+        self._write(name, "\n".join(lines) + "\n")
 
     def write_json(self, name, payload):
         payload = dict(payload)
         payload["provenance"] = {"version": __version__, "config_sha256": self.sha}
-        (self.out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self._write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _assemble(config: RunConfig):
@@ -113,12 +132,12 @@ def _cmd_jsi(run: _Run) -> int:
         rows += [[_fmt(wp[i])] + [_fmt(v) for v in intensity[i]] for i in range(wp.size)]
         run.write_csv("jsi.csv", "omega_plus_rad_per_s\\omega_minus_rad_per_s", rows)
     else:
+        meta.update(_symmetry_payload(jsa, config.cavity))
         run.write_csv(
             "jsi.csv",
             "omega_minus_rad_per_s,jsi",
             [(wm[i], intensity[i]) for i in range(wm.size)],
         )
-        meta.update(_symmetry_payload(jsa, config.cavity))
     run.write_json("jsi_meta.json", meta)
     return 0
 
@@ -128,34 +147,29 @@ def _cmd_hom(run: _Run) -> int:
     jsa = _assemble(config)
     delays = _delay_axis(config, run.points)
     trace = hom.coincidence_trace(jsa, delays)
+    try:
+        width = hom.feature_width(trace)
+    except QcombError:
+        width = None
+    report = {
+        "visibility": hom.visibility(trace),
+        "fwhm_s": width,
+        "extremum_kind": trace.extremum_kind,
+        "baseline": trace.baseline,
+        **_symmetry_payload(jsa, config.cavity),
+    }
     rows = [
         (delays[i], trace.p_coincidence[i], trace.p_coincidence[i] / 0.5)
         for i in range(delays.size)
     ]
     run.write_csv("hom_trace.csv", "tau_s,p_coincidence,p_normalized", rows)
-    try:
-        width = hom.feature_width(trace)
-    except QcombError:
-        width = None
-    run.write_json(
-        "hom_report.json",
-        {
-            "visibility": hom.visibility(trace),
-            "fwhm_s": width,
-            "extremum_kind": trace.extremum_kind,
-            "baseline": trace.baseline,
-            **_symmetry_payload(jsa, config.cavity),
-        },
-    )
+    run.write_json("hom_report.json", report)
     return 0
 
 
 def _cmd_sweep(run: _Run) -> int:
     config = run.config
     steps = 41 if run.points is None else run.points
-    if steps < 3:
-        # Two detunings, 0 and 2 FSR, leave no sample near one FSR.
-        raise ValidationError("sweep needs --points of at least 3")
     fsr = config.cavity.fsr
     flip = np.pi / fsr
     detunings = np.linspace(0.0, 2.0 * fsr, steps)
@@ -226,10 +240,8 @@ def default_fit_bounds(config: RunConfig, counts: np.ndarray) -> dict:
     }
 
 
-def _cmd_fit(run: _Run, data_path) -> int:
-    if data_path is None:
-        raise DataFormatError("fit requires --data <csv path>")
-    taus, counts = read_data_csv(data_path)
+def _cmd_fit(run: _Run) -> int:
+    taus, counts = read_data_csv(run.data)
     config = run.config
     problem = estimation.FitProblem(
         delays=taus,
@@ -244,18 +256,11 @@ def _cmd_fit(run: _Run, data_path) -> int:
     result = estimation.fit_hom_trace(
         problem, estimation.FitSettings(seed=run.seed)
     )
-    run.write_json(
-        "fit_report.json",
-        {
-            "parameters": result.parameters,
-            "clipped": result.clipped,
-            "confidence": result.confidence,
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "converged": result.converged,
-        },
-    )
+    run.write_json("fit_report.json", asdict(result))
     return 0
+
+
+_COMMANDS = {"jsi": _cmd_jsi, "hom": _cmd_hom, "sweep": _cmd_sweep, "fit": _cmd_fit}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,30 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qcomb",
         description="Cavity-filtered biphoton comb simulator and fitter",
     )
-    parser.add_argument("command", choices=["jsi", "hom", "sweep", "fit"])
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="JSON configuration path")
     parser.add_argument("--out", help="output directory (default from config)")
-    parser.add_argument("--points", type=int, help="resolution override")
+    parser.add_argument("--points", type=int, help="resolution override (jsi, hom, sweep)")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--data", help="input trace CSV for the fit command")
+    parser.add_argument("--data", help="input trace CSV (fit only, required)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run = _Run(args)
-        if args.command in ("sweep", "fit") and run.config.filter is not None:
-            raise ValidationError(f"{args.command} does not apply config.filter; remove the section")
-        if args.command == "sweep" and run.config.delay != 0.0:
-            raise ValidationError("sweep applies its own flip delay, not config.delay_s; set it to 0")
-        if args.command == "jsi":
-            return _cmd_jsi(run)
-        if args.command == "hom":
-            return _cmd_hom(run)
-        if args.command == "sweep":
-            return _cmd_sweep(run)
-        return _cmd_fit(run, args.data)
+        return _COMMANDS[args.command](_Run(args))
     except (OSError, DataFormatError) as exc:
         print(f"qcomb: i/o error: {exc}", file=sys.stderr)
         return 2

@@ -77,6 +77,8 @@ class FitSettings:
     maxiter: int = 2000
 
     def __post_init__(self):
+        if self.starts < 1:
+            raise ValidationError("fit starts must be at least 1")
         if self.seed < 0:
             raise ValidationError("fit seed must be non-negative")
 
@@ -122,8 +124,10 @@ def fit_hom_trace(
     width = hi - lo
     counts = problem.counts
 
+    # scipy's bounded Nelder-Mead clips x0, the initial simplex and every trial
+    # point to the unit box, so u never leaves it.
     def rss(u):
-        theta = lo + np.clip(u, 0.0, 1.0) * width
+        theta = lo + u * width
         m = model(theta)
         r = counts - m
         if problem.poisson_weights:
@@ -131,35 +135,23 @@ def fit_hom_trace(
         return float(np.sum(r * r))
 
     fatol = 1e-12 * (1.0 + float(np.sum(counts * counts)))
-    starts = [np.full(len(PARAMETER_NAMES), 0.5)]
+    first = np.full(len(PARAMETER_NAMES), 0.5)
     if initial is not None:
         theta0 = np.array([initial[n] for n in PARAMETER_NAMES])
-        starts[0] = np.clip((theta0 - lo) / width, 0.0, 1.0)
+        first = np.clip((theta0 - lo) / width, 0.0, 1.0)
     rng = np.random.default_rng(settings.seed)
-    for u in rng.uniform(size=(max(settings.starts - 1, 0), len(PARAMETER_NAMES))):
-        starts.append(u)
-
-    best = None
-    any_converged = False
-    for idx, u0 in enumerate(starts):
-        res = minimize(
-            rss,
-            u0,
-            method="Nelder-Mead",
-            bounds=[(0.0, 1.0)] * len(PARAMETER_NAMES),
-            options={
-                "xatol": settings.xatol,
-                "fatol": fatol,
-                "maxiter": settings.maxiter,
-                "maxfev": 4 * settings.maxiter,
-            },
-        )
-        any_converged = any_converged or bool(res.success)
-        key = (res.fun, idx)
-        if best is None or key < best[0]:
-            best = (key, res)
-    res = best[1]
-    u_opt = np.clip(res.x, 0.0, 1.0)
+    starts = [first, *rng.uniform(size=(settings.starts - 1, len(PARAMETER_NAMES)))]
+    options = {
+        "xatol": settings.xatol,
+        "fatol": fatol,
+        "maxiter": settings.maxiter,
+        "maxfev": 4 * settings.maxiter,
+    }
+    box = [(0.0, 1.0)] * len(PARAMETER_NAMES)
+    runs = [minimize(rss, u0, method="Nelder-Mead", bounds=box, options=options) for u0 in starts]
+    converged = any(r.success for r in runs)
+    res = min(runs, key=lambda r: r.fun)  # ties keep the earlier start
+    u_opt = res.x
     theta = lo + u_opt * width
     parameters = dict(zip(PARAMETER_NAMES, theta.tolist()))
     clipped = {
@@ -172,10 +164,10 @@ def fit_hom_trace(
         clipped=clipped,
         residual=float(res.fun),
         iterations=int(res.nit),
-        converged=any_converged,
+        converged=converged,
         confidence=confidence,
     )
-    if not any_converged:
+    if not converged:
         raise NonConvergenceError("no optimizer start converged", best_result=result)
     return result
 

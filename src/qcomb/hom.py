@@ -104,18 +104,19 @@ def _annotate(delays, p):
     height = p.max() - 0.5
     kind = DIP if depth >= height else PEAK
     i_ext = _extremum_index(p, kind)
-    w = _estimate_feature_width(delays, p, i_ext, 0.5)
-    window = default_baseline_window(delays, w, center=delays[i_ext])
-    mask = _window_mask(delays, delays[i_ext], window)
+    mask = _window_mask(delays, delays[i_ext], _baseline_window(delays, p, i_ext, 0.5))
     baseline = float(p[mask].mean()) if np.count_nonzero(mask) >= 2 else 0.5
     return baseline, float(p[i_ext]), kind
 
 
-def default_baseline_window(delays, feature_width, center):
-    """Default window |tau - center| in [3w, 5w], clipped to the trace span."""
+def _baseline_window(delays, p, i_ext, level):
+    """Default window |tau - tau_ext| in [3w, 5w], clipped to the trace span,
+    for the feature width w measured against the baseline guess ``level``."""
+    w = _estimate_feature_width(delays, p, i_ext, level)
+    center = delays[i_ext]
     span = max(abs(delays[0] - center), abs(delays[-1] - center))
-    lo = 3.0 * feature_width
-    hi = min(5.0 * feature_width, span)
+    lo = 3.0 * w
+    hi = min(5.0 * w, span)
     if lo >= hi:  # short trace: fall back to the outer quarter
         lo, hi = 0.75 * span, span
     return lo, hi
@@ -159,8 +160,7 @@ def visibility(trace: HomTrace, baseline_window=None) -> float:
     i_ext = _extremum_index(p, kind)
     t_ext = delays[i_ext]
     if baseline_window is None:
-        w = _estimate_feature_width(delays, p, i_ext, trace.baseline)
-        baseline_window = default_baseline_window(delays, w, center=t_ext)
+        baseline_window = _baseline_window(delays, p, i_ext, trace.baseline)
     lo, _ = baseline_window
     mask = _window_mask(delays, t_ext, baseline_window)
     if np.count_nonzero(mask) < 10:

@@ -35,13 +35,13 @@ CENTER_WAVELENGTH = 1530e-9
 EXCHANGE_FLIP_DELAY = math.pi / FSR
 
 
-def chip_cavity(r_signal: float = R_SIGNAL, r_idler: float = R_IDLER) -> CavitySpec:
-    return CavitySpec(fsr=FSR, reflectivity_signal=r_signal, reflectivity_idler=r_idler)
+def chip_cavity() -> CavitySpec:
+    return CavitySpec(fsr=FSR, reflectivity_signal=R_SIGNAL, reflectivity_idler=R_IDLER)
 
 
-def chip_pump(anti_resonant: bool = False, detuning: float = 0.0) -> PumpSpec:
+def chip_pump(anti_resonant: bool = False) -> PumpSpec:
     center = PUMP_ANTI_RESONANT if anti_resonant else PUMP_RESONANT
-    return PumpSpec(center_frequency=center + detuning, mode=PumpMode.MONOCHROMATIC)
+    return PumpSpec(center_frequency=center, mode=PumpMode.MONOCHROMATIC)
 
 
 def chip_phase_match(walkoff: float = 0.0, dispersion: float = 0.0) -> PhaseMatchSpec:
@@ -53,8 +53,6 @@ def chip_phase_match(walkoff: float = 0.0, dispersion: float = 0.0) -> PhaseMatc
     )
 
 
-def chip_grid(
-    points: int = 2**16 + 1, span: float = 2.0 * DIFFERENCE_BANDWIDTH
-) -> SpectralGrid:
+def chip_grid() -> SpectralGrid:
     """Difference-frequency grid wide enough for the full comb envelope."""
-    return SpectralGrid(span_minus=span, points_minus=points)
+    return SpectralGrid(span_minus=2.0 * DIFFERENCE_BANDWIDTH, points_minus=2**16 + 1)

@@ -49,8 +49,10 @@ class PumpSpec:
         require_finite(self)
         if self.center_frequency <= 0:
             raise ValidationError("pump center_frequency must be positive")
-        if self.linewidth < 0:
-            raise ValidationError("pump linewidth must be nonnegative")
+        if self.mode is PumpMode.MONOCHROMATIC and self.linewidth != 0.0:
+            raise ValidationError("PumpSpec.linewidth must be 0 for a monochromatic pump")
+        if self.mode is PumpMode.GAUSSIAN_BROADBAND and not self.linewidth > 0.0:
+            raise ValidationError("PumpSpec.linewidth must be positive for a broadband pump")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from qcomb.errors import ConfigError, DataFormatError
 from conftest import FSR
 
 FSR_GHZ = FSR / (2 * math.pi * 1e9)
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def small_config_doc(**overrides):
@@ -200,7 +201,7 @@ class TestNonFinite:
         cfg.write_text(non_finite_text("phase_match", "bandwidth_ghz", "NaN"))
         out = tmp_path / "out"
         assert cli.main(["jsi", "--config", str(cfg), "--out", str(out)]) == 1
-        assert not (out / "jsi.csv").exists()
+        assert not out.exists()
 
 
 def test_readme_lists_every_config_key():
@@ -306,7 +307,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--points", "3"]) == 1
         assert "config.filter" in capsys.readouterr().err
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
 
     def test_sweep_rejects_two_points(self, tmp_path, capsys):
         # Detunings 0 and 2 FSR leave no sample near one FSR.
@@ -314,7 +315,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--points", "2"]) == 1
         assert "qcomb: error: sweep needs --points of at least 3" in capsys.readouterr().err
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
 
     def test_sweep_three_points(self, tmp_path):
         cfg = write_config(tmp_path, small_config_doc())
@@ -327,7 +328,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--points", "3"]) == 1
         assert "config.delay_s" in capsys.readouterr().err
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
 
     def test_sweep_single_step_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_doc())
@@ -343,7 +344,67 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main([command, "--config", cfg, "--out", str(out), "--points", points]) == 1
         assert "qcomb: error: --points must be at least 2" in capsys.readouterr().err
-        assert not (out / output).exists()
+        assert not out.exists()
+
+    def test_fit_rejects_points(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config_doc())
+        data = tmp_path / "data.csv"
+        data.write_text("tau_s,counts\n" + "".join(f"{i}e-12,500\n" for i in range(-16, 17)))
+        out = tmp_path / "out"
+        argv = ["fit", "--config", cfg, "--out", str(out), "--data", str(data), "--points", "7"]
+        assert cli.main(argv) == 1
+        assert "qcomb: error: fit takes no --points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["jsi", "hom", "sweep"])
+    def test_data_rejected_outside_fit(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, small_config_doc())
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out), "--data", str(tmp_path / "missing.csv")]
+        assert cli.main(argv) == 1
+        assert "qcomb: error: --data is read only by fit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_without_data_is_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config_doc())
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 2
+        assert "fit requires --data" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # The 2D broadband state assembles, then the HOM trace refuses it.
+            (["hom", "--config", str(GOLDEN / "broadband_2d" / "config.json")], "defined for 1D states"),
+            # The JSI is computed, then the exchange overlap refuses the grid.
+            (["jsi", "--points", "512"], "symmetric about w- = 0"),
+            # The trace is computed, then visibility finds too few baseline samples.
+            (["hom", "--points", "41"], "baseline window"),
+        ],
+        ids=["hom-2d", "jsi-even-grid", "hom-short-axis"],
+    )
+    def test_physics_error_mid_run_writes_nothing(self, tmp_path, capsys, argv, message):
+        if "--config" not in argv:
+            argv = argv + ["--config", write_config(tmp_path, small_config_doc())]
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, linewidth_ghz",
+        [("gaussian_broadband", None), ("gaussian_broadband", 0.0), ("monochromatic", 50.0)],
+    )
+    def test_pump_linewidth_must_match_mode(self, tmp_path, capsys, mode, linewidth_ghz):
+        doc = small_config_doc()
+        doc["pump"]["mode"] = mode
+        if linewidth_ghz is not None:
+            doc["pump"]["linewidth_ghz"] = linewidth_ghz
+        out = tmp_path / "out"
+        assert cli.main(["hom", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert "PumpSpec.linewidth" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli.main(["jsi", "--config", str(tmp_path / "nope.json")]) == 2
@@ -383,7 +444,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 1
         assert "config.filter" in capsys.readouterr().err
-        assert not (out / "fit_report.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid_change", [{"center_minus_ghz": 3.0}, {"points_minus": 512}])
     def test_fit_rejects_asymmetric_grid(self, tmp_path, capsys, grid_change):
@@ -396,7 +457,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 1
         assert "requires a grid symmetric about w- = 0" in capsys.readouterr().err
-        assert not (out / "fit_report.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", ["config", "flag"])
     def test_fit_rejects_negative_seed(self, tmp_path, capsys, source):
@@ -410,7 +471,7 @@ class TestCli:
             argv += ["--seed", "-1"]
         assert cli.main(argv) == 1
         assert "qcomb: error: fit seed must be non-negative" in capsys.readouterr().err
-        assert not (out / "fit_report.json").exists()
+        assert not out.exists()
 
     def test_fit_missing_data_file(self, tmp_path):
         cfg = write_config(tmp_path, small_config_doc())

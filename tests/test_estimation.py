@@ -149,6 +149,11 @@ class TestFitProblemValidation:
 class TestFit:
     settings = FitSettings(starts=3, seed=0, xatol=1e-7, maxiter=2000)
 
+    @pytest.mark.parametrize("starts", [0, -3])
+    def test_settings_need_a_start(self, starts):
+        with pytest.raises(ValidationError, match="fit starts must be at least 1"):
+            FitSettings(starts=starts)
+
     @pytest.mark.parametrize(
         "grid_change", [{"center_minus": 2 * math.pi * 3e9}, {"points_minus": 512}]
     )

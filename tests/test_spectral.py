@@ -45,6 +45,17 @@ class TestPump:
         with pytest.raises(ValidationError):
             PumpSpec(center_frequency=1e15, linewidth=-1.0)
 
+    @pytest.mark.parametrize("linewidth", [0.0, -1.0])
+    def test_broadband_needs_positive_linewidth(self, linewidth):
+        # eval_pump divides by the linewidth.
+        with pytest.raises(ValidationError, match="PumpSpec.linewidth"):
+            PumpSpec(center_frequency=1e15, mode=PumpMode.GAUSSIAN_BROADBAND, linewidth=linewidth)
+
+    def test_monochromatic_rejects_linewidth(self):
+        # A delta pump has no linewidth, so a given one would be ignored.
+        with pytest.raises(ValidationError, match="PumpSpec.linewidth"):
+            PumpSpec(center_frequency=1e15, linewidth=BW)
+
 
 class TestPhaseMatch:
     def test_sinc_intensity_fwhm_matches_bandwidth(self):
