@@ -4,76 +4,9 @@ Builds joint spectral amplitudes from pump, phase-matching and
 Fabry-Perot cavity factors, controls the exchange symmetry via pump
 tuning and relative delay, predicts Hong-Ou-Mandel coincidence traces,
 and fits the model to trace data.
+
+Each name is imported from its module, e.g. ``from qcomb import biphoton,
+hom``; importing the package itself loads no submodule.
 """
 
 __version__ = "0.1.0"
-
-from .biphoton import (
-    SYMMETRY_THRESHOLD,
-    Jsa,
-    SpectralGrid,
-    SymmetryReport,
-    apply_delay,
-    apply_filter,
-    assemble_jsa_broadband,
-    assemble_jsa_mono,
-    count_comb_peaks,
-    exchange_overlap,
-    jsi,
-    symmetry_report,
-)
-from .cavity import (
-    CavitySpec,
-    Polarization,
-    PumpClass,
-    PumpClassLabel,
-    amplitude_transmission,
-    cavity_factor,
-    classify_pump,
-    linewidth,
-)
-from .config import RunConfig, emit_config, parse_config
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DegenerateStateError,
-    DeltaPumpError,
-    GridSymmetryError,
-    NonConvergenceError,
-    OverFilteredError,
-    QcombError,
-    ResolutionError,
-    UndefinedVisibilityError,
-    ValidationError,
-)
-from .estimation import (
-    BandwidthReport,
-    FitProblem,
-    FitResult,
-    FitSettings,
-    extract_bandwidth_report,
-    fit_hom_trace,
-    simulate_counts,
-)
-from .hom import (
-    HomTrace,
-    coincidence_trace,
-    feature_width,
-    gaussian_dip_fwhm,
-    gaussian_trace,
-    trace_for_delayed_state,
-    visibility,
-)
-from .spectral import (
-    FilterShape,
-    FilterSpec,
-    PhaseMatchShape,
-    PhaseMatchSpec,
-    PumpMode,
-    PumpSpec,
-    eval_filter,
-    eval_phase_match,
-    eval_pump,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -61,6 +61,8 @@ class _Run:
             raise ValidationError("sweep applies its own flip delay, not config.delay_s; set it to 0")
         if command != "fit" and self.data is not None:
             raise ValidationError("--data is read only by fit")
+        if command != "fit" and args.seed is not None:
+            raise ValidationError("--seed is read only by fit")
         if command == "fit" and self.data is None:
             raise DataFormatError("fit requires --data <csv path>")
         self.out = Path(args.out) if args.out else Path(self.config.output_dir)
@@ -142,18 +144,22 @@ def _cmd_jsi(run: _Run) -> int:
     return 0
 
 
+def _unless_unresolved(observable, trace):
+    """The observable of the trace, or None (JSON null) if the trace cannot resolve it."""
+    try:
+        return observable(trace)
+    except QcombError:
+        return None
+
+
 def _cmd_hom(run: _Run) -> int:
     config = run.config
     jsa = _assemble(config)
     delays = _delay_axis(config, run.points)
     trace = hom.coincidence_trace(jsa, delays)
-    try:
-        width = hom.feature_width(trace)
-    except QcombError:
-        width = None
     report = {
-        "visibility": hom.visibility(trace),
-        "fwhm_s": width,
+        "visibility": _unless_unresolved(hom.visibility, trace),
+        "fwhm_s": _unless_unresolved(hom.feature_width, trace),
         "extremum_kind": trace.extremum_kind,
         "baseline": trace.baseline,
         **_symmetry_payload(jsa, config.cavity),
@@ -272,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON configuration path")
     parser.add_argument("--out", help="output directory (default from config)")
     parser.add_argument("--points", type=int, help="resolution override (jsi, hom, sweep)")
-    parser.add_argument("--seed", type=int, help="seed override")
+    parser.add_argument("--seed", type=int, help="seed override (fit only)")
     parser.add_argument("--data", help="input trace CSV (fit only, required)")
     return parser
 

@@ -46,7 +46,6 @@ class FitProblem:
     cavity: CavitySpec
     grid: SpectralGrid
     state_delay: float = 0.0
-    poisson_weights: bool = False
 
     def __post_init__(self):
         delays = np.asarray(self.delays, dtype=float)
@@ -127,11 +126,7 @@ def fit_hom_trace(
     # scipy's bounded Nelder-Mead clips x0, the initial simplex and every trial
     # point to the unit box, so u never leaves it.
     def rss(u):
-        theta = lo + u * width
-        m = model(theta)
-        r = counts - m
-        if problem.poisson_weights:
-            return float(np.sum(r * r / np.maximum(m, 1.0)))
+        r = counts - model(lo + u * width)
         return float(np.sum(r * r))
 
     fatol = 1e-12 * (1.0 + float(np.sum(counts * counts)))

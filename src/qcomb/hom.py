@@ -84,9 +84,8 @@ def _half_level_run(p, kind, i_ext, half):
     return lo, hi
 
 
-def _estimate_feature_width(delays, p, i_ext, baseline_guess):
+def _estimate_feature_width(delays, p, i_ext, kind, baseline_guess):
     """Full width where the trace has recovered halfway back to baseline."""
-    kind = DIP if p[i_ext] < baseline_guess else PEAK
     run = _half_level_run(p, kind, i_ext, (p[i_ext] + baseline_guess) / 2.0)
     # From the first sample back past the half level on each side.
     w = 0.0 if run is None else delays[min(run[1] + 1, p.size - 1)] - delays[max(run[0] - 1, 0)]
@@ -104,15 +103,15 @@ def _annotate(delays, p):
     height = p.max() - 0.5
     kind = DIP if depth >= height else PEAK
     i_ext = _extremum_index(p, kind)
-    mask = _window_mask(delays, delays[i_ext], _baseline_window(delays, p, i_ext, 0.5))
+    mask = _window_mask(delays, delays[i_ext], _baseline_window(delays, p, i_ext, kind, 0.5))
     baseline = float(p[mask].mean()) if np.count_nonzero(mask) >= 2 else 0.5
     return baseline, float(p[i_ext]), kind
 
 
-def _baseline_window(delays, p, i_ext, level):
+def _baseline_window(delays, p, i_ext, kind, level):
     """Default window |tau - tau_ext| in [3w, 5w], clipped to the trace span,
-    for the feature width w measured against the baseline guess ``level``."""
-    w = _estimate_feature_width(delays, p, i_ext, level)
+    for the width w of the ``kind`` feature against the baseline guess ``level``."""
+    w = _estimate_feature_width(delays, p, i_ext, kind, level)
     center = delays[i_ext]
     span = max(abs(delays[0] - center), abs(delays[-1] - center))
     lo = 3.0 * w
@@ -160,7 +159,7 @@ def visibility(trace: HomTrace, baseline_window=None) -> float:
     i_ext = _extremum_index(p, kind)
     t_ext = delays[i_ext]
     if baseline_window is None:
-        baseline_window = _baseline_window(delays, p, i_ext, trace.baseline)
+        baseline_window = _baseline_window(delays, p, i_ext, kind, trace.baseline)
     lo, _ = baseline_window
     mask = _window_mask(delays, t_ext, baseline_window)
     if np.count_nonzero(mask) < 10:
@@ -171,7 +170,7 @@ def visibility(trace: HomTrace, baseline_window=None) -> float:
     if not lo > 0.0:
         raise ValidationError("baseline window leaves no samples near the extremum")
     n_0 = float(p[i_ext])
-    if _estimate_feature_width(delays, p, i_ext, n_tau) / 2.0 > lo:
+    if _estimate_feature_width(delays, p, i_ext, kind, n_tau) / 2.0 > lo:
         warnings.warn("baseline window overlaps the interference feature")
     return (n_tau - n_0) / n_tau
 

@@ -379,10 +379,8 @@ class TestCli:
             (["hom", "--config", str(GOLDEN / "broadband_2d" / "config.json")], "defined for 1D states"),
             # The JSI is computed, then the exchange overlap refuses the grid.
             (["jsi", "--points", "512"], "symmetric about w- = 0"),
-            # The trace is computed, then visibility finds too few baseline samples.
-            (["hom", "--points", "41"], "baseline window"),
         ],
-        ids=["hom-2d", "jsi-even-grid", "hom-short-axis"],
+        ids=["hom-2d", "jsi-even-grid"],
     )
     def test_physics_error_mid_run_writes_nothing(self, tmp_path, capsys, argv, message):
         if "--config" not in argv:
@@ -390,6 +388,25 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(argv + ["--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hom_unresolved_observables_are_null(self, tmp_path):
+        # 41 delays leave too few baseline samples for the visibility and
+        # too few samples inside the FWHM; the trace itself is still valid.
+        cfg = write_config(tmp_path, small_config_doc())
+        out = tmp_path / "out"
+        assert cli.main(["hom", "--config", cfg, "--out", str(out), "--points", "41"]) == 0
+        assert len(read_csv_lines(out / "hom_trace.csv")) == 2 + 41
+        report = json.loads((out / "hom_report.json").read_text())
+        assert report["visibility"] is None
+        assert report["fwhm_s"] is None
+
+    @pytest.mark.parametrize("command", ["jsi", "hom", "sweep"])
+    def test_seed_rejected_outside_fit(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, small_config_doc())
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--seed", "1"]) == 1
+        assert "qcomb: error: --seed is read only by fit" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -212,15 +212,6 @@ class TestFit:
             )
         assert up.residual == pytest.approx(k**2 * base.residual, rel=1e-6, abs=1e-12)
 
-    def test_poisson_weighted_noiseless_recovery(self):
-        problem, theta = small_problem_parts()
-        weighted = replace(problem, poisson_weights=True)
-        result = fit_hom_trace(weighted, self.settings)
-        assert result.converged
-        assert result.parameters["bandwidth"] == pytest.approx(
-            theta["bandwidth"], rel=1e-2
-        )
-
     def test_non_convergence_carries_best_result(self):
         problem, _ = small_problem_parts()
         with pytest.raises(NonConvergenceError) as info:
