@@ -7,6 +7,7 @@ so symmetric states dip to 0 and anti-symmetric states peak at 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,25 +38,75 @@ class HomTrace:
     extremum_kind: str
 
 
+#: Truncation bound of the Taylor series on near-uniform delay axes.
+TAYLOR_TOL = 1e-17
+
+
+@functools.lru_cache(maxsize=1)
+def _czt_plan(n, m, w, a):
+    # One slot: callers use their plans one after another (calibration,
+    # sweep, a measured axis), and each plan holds a few MB.
+    return CZT(n=n, m=m, w=w, a=a)
+
+
+def _plan(omega, start, step, m):
+    """Chirp-z plan of kernel -> sum_n kernel_n exp(-i (omega_n - omega_0) tau_k)
+    on the axis tau_k = start + k step."""
+    dw = omega[1] - omega[0]
+    return _czt_plan(
+        omega.size, m, complex(np.exp(-1j * dw * step)), complex(np.exp(1j * dw * start))
+    )
+
+
 def delay_transform(omega, delays):
     """Reusable map kernel -> sum_n kernel_n exp(-i omega_n tau_k).
 
-    Uniform delay axes of 8 or more points get a chirp-z plan plus a
-    post-phase; other axes get the direct sum.
+    Three paths, for axes of 8 or more delays:
+
+    - a uniform axis gets a chirp-z plan plus a post-phase;
+    - a near-uniform axis, whose offsets delta from the uniform axis ref
+      through its end points satisfy x = max|omega| max|delta| <= 1, gets
+      the Taylor series sum_p (-i delta)^p / p! T_ref(kernel omega^p) on
+      ref's plan, with the fewest terms P for which x^P / P! <=
+      ``TAYLOR_TOL``. That bounds the truncation error for any kernel with
+      sum |kernel| <= 1, as every exchange kernel is (Cauchy-Schwarz);
+    - any other axis, or one of fewer than 8 delays, gets the direct sum.
+
+    The last plan built is cached, so a caller that transforms onto one
+    axis again and again builds it once; a cache hit gives bit-identical
+    output.
     """
     delays = np.asarray(delays, dtype=float)
-    if delays.size >= 8:
+    m = delays.size
+    if m >= 8:
         dt = np.diff(delays)
         if np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-            dw = omega[1] - omega[0]
-            plan = CZT(
-                n=omega.size,
-                m=delays.size,
-                w=complex(np.exp(-1j * dw * dt[0])),
-                a=complex(np.exp(1j * dw * delays[0])),
-            )
+            plan = _plan(omega, delays[0], dt[0], m)
             post = np.exp(-1j * omega[0] * delays)
             return lambda kernel: plan(kernel) * post
+        ref = np.linspace(delays[0], delays[-1], m)
+        offset = delays - ref
+        scale = float(np.max(np.abs(omega)))
+        x = scale * float(np.max(np.abs(offset)))
+        if x <= 1.0:
+            plan = _plan(omega, ref[0], (ref[-1] - ref[0]) / (m - 1), m)
+            post = np.exp(-1j * omega[0] * ref)
+            terms = 1
+            while x**terms / math.factorial(terms) > TAYLOR_TOL:
+                terms += 1
+            u = omega / scale
+            ratio = -1j * scale * offset
+
+            def near_uniform(kernel):
+                out = plan(kernel)
+                coef = np.ones(m, dtype=complex)
+                for p in range(1, terms):
+                    kernel = kernel * u
+                    coef = coef * ratio / p
+                    out += coef * plan(kernel)
+                return out * post
+
+            return near_uniform
     return lambda kernel: np.array(
         [np.sum(kernel * np.exp(-1j * omega * t)) for t in delays]
     )
@@ -126,6 +177,8 @@ def coincidence_trace(jsa: Jsa, delays) -> HomTrace:
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 2:
         raise ValidationError("coincidence_trace needs a 1D axis of at least 2 delays")
+    if not np.all(np.isfinite(delays)):
+        raise ValidationError("coincidence_trace needs finite delays")
     # Kernel first, then the plan: the order of these large allocations
     # sets the process's peak resident memory.
     kernel = _biphoton.exchange_kernel(jsa)

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qcomb import biphoton, hom, presets
+from qcomb import biphoton, calibration, cli, estimation, hom, presets
 from qcomb.biphoton import Jsa, SpectralGrid
 from qcomb.errors import (
     DegenerateStateError,
@@ -12,7 +13,10 @@ from qcomb.errors import (
     UndefinedVisibilityError,
     ValidationError,
 )
+from qcomb.estimation import FitSettings
 from conftest import FSR
+from test_config_cli import small_config_doc, write_config
+from test_estimation import small_problem_parts
 
 SIGMA = 2.0 * math.pi * 1e12
 
@@ -31,6 +35,37 @@ def antisymmetric_state(points=4001, span=12 * SIGMA):
     return Jsa(grid=grid, amplitudes=amps, pump_frequency=2e15)
 
 
+def direct_sum(kernel, omega, delays):
+    return np.array([np.sum(kernel * np.exp(-1j * omega * t)) for t in delays])
+
+
+def jittered(delays, fraction, seed=0):
+    """The axis with each delay moved by up to ``fraction`` of its step."""
+    step = delays[1] - delays[0]
+    return delays + np.random.default_rng(seed).uniform(-fraction, fraction, delays.size) * step
+
+
+@pytest.fixture(autouse=True)
+def fresh_plan_cache():
+    hom._czt_plan.cache_clear()
+    yield
+    hom._czt_plan.cache_clear()
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Arguments of every chirp-z plan built during the test."""
+    builds = []
+    build = hom.CZT
+
+    def counting(**kwargs):
+        builds.append(kwargs)
+        return build(**kwargs)
+
+    monkeypatch.setattr(hom, "CZT", counting)
+    return builds
+
+
 class TestGaussianOracle:
     def test_trace_matches_closed_form(self):
         jsa = gaussian_state()
@@ -39,12 +74,13 @@ class TestGaussianOracle:
         expected = hom.gaussian_trace(SIGMA, delays)
         assert np.max(np.abs(trace.p_coincidence - expected)) < 1e-6
 
-    def test_non_uniform_delays_use_direct_sum(self):
+    def test_non_uniform_delays_use_direct_sum(self, plan_builds):
         jsa = gaussian_state(points=1001)
         delays = np.array([-3.0, -0.5, 0.0, 0.7, 1.1, 2.9, 4.0, 4.5, 5.0]) / SIGMA
         trace = hom.coincidence_trace(jsa, delays)
         expected = hom.gaussian_trace(SIGMA, delays)
         assert np.max(np.abs(trace.p_coincidence - expected)) < 1e-6
+        assert plan_builds == []
 
     def test_uniform_and_direct_paths_agree(self):
         jsa = gaussian_state(points=1001)
@@ -57,6 +93,74 @@ class TestGaussianOracle:
             np.array([np.sum(kernel * np.exp(-1j * w * t)) for t in delays])
         )
         assert np.allclose(fast, slow, atol=1e-12)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_near_uniform_axis_matches_closed_form(self, plan_builds, direction):
+        jsa = gaussian_state(points=1001)
+        delays = jittered(np.linspace(-4 / SIGMA, 4 / SIGMA, 64), 0.2)[::direction]
+        p = hom.coincidence_trace(jsa, delays).p_coincidence
+        slow = hom.coincidence_probability(
+            biphoton.exchange_kernel(jsa),
+            lambda kernel: direct_sum(kernel, jsa.grid.omega_minus(), delays),
+        )
+        assert len(plan_builds) == 1
+        assert np.max(np.abs(p - hom.gaussian_trace(SIGMA, delays))) < 1e-12
+        assert np.max(np.abs(p - slow)) < 1e-12
+
+
+class TestPlanCache:
+    def test_calibration_builds_one_plan(
+        self, plan_builds, resonant_pump, fast_phase_match, fast_cavity, fast_grid
+    ):
+        calibration.calibrate_dispersion(
+            resonant_pump, fast_phase_match, fast_cavity, fast_grid, math.pi / FSR, 0.4,
+            bracket=(0.0, 1e-21),
+        )
+        assert len(plan_builds) == 1
+
+    def test_sweep_builds_one_plan(self, plan_builds, tmp_path):
+        cfg = write_config(tmp_path, small_config_doc())
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--points", "9"]) == 0
+        assert len(plan_builds) == 1
+
+    def test_hit_and_miss_give_identical_traces(self, plan_builds):
+        jsa = gaussian_state(points=1001)
+        delays = np.linspace(-4 / SIGMA, 4 / SIGMA, 64)
+        miss = hom.coincidence_trace(jsa, delays).p_coincidence
+        hit = hom.coincidence_trace(jsa, delays).p_coincidence
+        assert len(plan_builds) == 1
+        hom.coincidence_trace(jsa, delays[:-1])  # evicts the plan
+        rebuilt = hom.coincidence_trace(jsa, delays).p_coincidence
+        assert len(plan_builds) == 3
+        assert np.array_equal(miss, hit) and np.array_equal(miss, rebuilt)
+
+    def test_fit_model_on_near_uniform_axis_is_the_direct_sum(self, plan_builds, monkeypatch):
+        problem, theta = small_problem_parts()
+        delays = jittered(problem.delays, 0.2)
+        jsa = biphoton.assemble_jsa_mono(
+            problem.pump, problem.phase_match_template, problem.cavity, problem.grid
+        )
+        trace = hom.trace_for_delayed_state(jsa, problem.state_delay, delays)
+        counts = theta["amplitude"] * trace.p_coincidence + theta["baseline"]
+        problem = replace(problem, delays=delays, counts=counts)
+        evaluated = []
+        probability = hom.coincidence_probability
+
+        def recording(kernel, transform):
+            p = probability(kernel, transform)
+            evaluated.append((kernel, p))
+            return p
+
+        monkeypatch.setattr(hom, "coincidence_probability", recording)
+        hom._czt_plan.cache_clear()
+        plan_builds.clear()
+        result = estimation.fit_hom_trace(problem, FitSettings(starts=1), theta)
+        assert len(plan_builds) == 1
+        assert result.residual < 1e-20
+        omega = problem.grid.omega_minus()
+        for kernel, p in evaluated[::10]:
+            slow = probability(kernel, lambda k: direct_sum(k, omega, delays))
+            assert np.max(np.abs(p - slow)) < 1e-12
 
 
 class TestTraceBasics:
@@ -121,6 +225,18 @@ class TestTraceBasics:
     @pytest.mark.parametrize("delays", [[], [0.0]])
     def test_short_delay_axis_rejected(self, delays):
         with pytest.raises(ValidationError, match="at least 2 delays"):
+            hom.coincidence_trace(gaussian_state(), delays)
+
+    @pytest.mark.parametrize(
+        "delays",
+        [
+            [0.0, math.nan, 1e-13],
+            list(np.linspace(-1 / SIGMA, 1 / SIGMA, 19)) + [math.inf],
+            [-math.inf, 0.0, 1e-13],
+        ],
+    )
+    def test_non_finite_delays_rejected(self, delays):
+        with pytest.raises(ValidationError, match="finite"):
             hom.coincidence_trace(gaussian_state(), delays)
 
     def test_delayed_state_trace_is_shifted(self):
