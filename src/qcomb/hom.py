@@ -38,7 +38,7 @@ class HomTrace:
     extremum_kind: str
 
 
-#: Truncation bound of the Taylor series on near-uniform delay axes.
+#: Truncation bound of the Taylor series in ``delay_transform``.
 TAYLOR_TOL = 1e-17
 
 
@@ -49,67 +49,60 @@ def _czt_plan(n, m, w, a):
     return CZT(n=n, m=m, w=w, a=a)
 
 
-def _plan(omega, start, step, m):
-    """Chirp-z plan of kernel -> sum_n kernel_n exp(-i (omega_n - omega_0) tau_k)
-    on the axis tau_k = start + k step."""
-    dw = omega[1] - omega[0]
-    return _czt_plan(
-        omega.size, m, complex(np.exp(-1j * dw * step)), complex(np.exp(1j * dw * start))
-    )
-
-
 def delay_transform(omega, delays):
     """Reusable map kernel -> sum_n kernel_n exp(-i omega_n tau_k).
 
-    Three paths, for axes of 8 or more delays:
+    The delays must form a 1D axis of at least 2 finite values. Two paths:
 
-    - a uniform axis gets a chirp-z plan plus a post-phase;
-    - a near-uniform axis, whose offsets delta from the uniform axis ref
-      through its end points satisfy x = max|omega| max|delta| <= 1, gets
-      the Taylor series sum_p (-i delta)^p / p! T_ref(kernel omega^p) on
-      ref's plan, with the fewest terms P for which x^P / P! <=
-      ``TAYLOR_TOL``. That bounds the truncation error for any kernel with
-      sum |kernel| <= 1, as every exchange kernel is (Cauchy-Schwarz);
-    - any other axis, or one of fewer than 8 delays, gets the direct sum.
+    - an axis whose offsets delta from ref = linspace(tau_0, tau_last, m)
+      satisfy x = max|omega| max|delta| <= 1 gets the Taylor series
+      sum_p (-i delta)^p / p! T_ref(kernel omega^p) on the chirp-z plan of
+      ref, with the fewest terms P for which x^P / P! <= ``TAYLOR_TOL``.
+      That bounds the truncation error for any kernel with sum |kernel|
+      <= 1, as every exchange kernel is (Cauchy-Schwarz). An axis that is
+      its own linspace takes one term, one plan apply;
+    - any other axis gets the direct sum.
 
     The last plan built is cached, so a caller that transforms onto one
     axis again and again builds it once; a cache hit gives bit-identical
     output.
     """
     delays = np.asarray(delays, dtype=float)
+    if delays.ndim != 1 or delays.size < 2:
+        raise ValidationError("delay_transform needs a 1D axis of at least 2 delays")
+    if not np.all(np.isfinite(delays)):
+        raise ValidationError("delay_transform needs finite delays")
     m = delays.size
-    if m >= 8:
-        dt = np.diff(delays)
-        if np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-            plan = _plan(omega, delays[0], dt[0], m)
-            post = np.exp(-1j * omega[0] * delays)
-            return lambda kernel: plan(kernel) * post
-        ref = np.linspace(delays[0], delays[-1], m)
-        offset = delays - ref
-        scale = float(np.max(np.abs(omega)))
-        x = scale * float(np.max(np.abs(offset)))
-        if x <= 1.0:
-            plan = _plan(omega, ref[0], (ref[-1] - ref[0]) / (m - 1), m)
-            post = np.exp(-1j * omega[0] * ref)
-            terms = 1
-            while x**terms / math.factorial(terms) > TAYLOR_TOL:
-                terms += 1
-            u = omega / scale
-            ratio = -1j * scale * offset
-
-            def near_uniform(kernel):
-                out = plan(kernel)
-                coef = np.ones(m, dtype=complex)
-                for p in range(1, terms):
-                    kernel = kernel * u
-                    coef = coef * ratio / p
-                    out += coef * plan(kernel)
-                return out * post
-
-            return near_uniform
-    return lambda kernel: np.array(
-        [np.sum(kernel * np.exp(-1j * omega * t)) for t in delays]
+    ref = np.linspace(delays[0], delays[-1], m)
+    offset = delays - ref
+    scale = float(np.max(np.abs(omega)))
+    x = scale * float(np.max(np.abs(offset)))
+    if x > 1.0:
+        return lambda kernel: np.array(
+            [np.sum(kernel * np.exp(-1j * omega * t)) for t in delays]
+        )
+    dw = omega[1] - omega[0]
+    step = (ref[-1] - ref[0]) / (m - 1)
+    plan = _czt_plan(
+        omega.size, m, complex(np.exp(-1j * dw * step)), complex(np.exp(1j * dw * ref[0]))
     )
+    post = np.exp(-1j * omega[0] * ref)
+    terms = 1
+    while x**terms / math.factorial(terms) > TAYLOR_TOL:
+        terms += 1
+    u = omega / scale
+    ratio = -1j * scale * offset
+
+    def chirp_z(kernel):
+        out = plan(kernel)
+        coef = np.ones(m, dtype=complex)
+        for p in range(1, terms):
+            kernel = kernel * u
+            coef = coef * ratio / p
+            out += coef * plan(kernel)
+        return out * post
+
+    return chirp_z
 
 
 def coincidence_probability(kernel, transform):
@@ -139,8 +132,8 @@ def _estimate_feature_width(delays, p, i_ext, kind, baseline_guess):
     """Full width where the trace has recovered halfway back to baseline."""
     run = _half_level_run(p, kind, i_ext, (p[i_ext] + baseline_guess) / 2.0)
     # From the first sample back past the half level on each side.
-    w = 0.0 if run is None else delays[min(run[1] + 1, p.size - 1)] - delays[max(run[0] - 1, 0)]
-    return (delays[-1] - delays[0]) / 8.0 if w <= 0 else w
+    w = 0.0 if run is None else abs(delays[min(run[1] + 1, p.size - 1)] - delays[max(run[0] - 1, 0)])
+    return abs(delays[-1] - delays[0]) / 8.0 if w == 0 else w
 
 
 def _window_mask(delays, center, window):
@@ -175,10 +168,6 @@ def _baseline_window(delays, p, i_ext, kind, level):
 def coincidence_trace(jsa: Jsa, delays) -> HomTrace:
     """Compute the coincidence trace of a 1D state over the given delays."""
     delays = np.asarray(delays, dtype=float)
-    if delays.ndim != 1 or delays.size < 2:
-        raise ValidationError("coincidence_trace needs a 1D axis of at least 2 delays")
-    if not np.all(np.isfinite(delays)):
-        raise ValidationError("coincidence_trace needs finite delays")
     # Kernel first, then the plan: the order of these large allocations
     # sets the process's peak resident memory.
     kernel = _biphoton.exchange_kernel(jsa)
@@ -257,7 +246,7 @@ def feature_width(trace: HomTrace) -> float:
         f = (half - p[i_out]) / (p[i_in] - p[i_out])
         return delays[i_out] + f * (delays[i_in] - delays[i_out])
 
-    return float(cross(hi + 1, hi) - cross(lo - 1, lo))
+    return float(abs(cross(hi + 1, hi) - cross(lo - 1, lo)))
 
 
 def gaussian_trace(sigma: float, delays) -> np.ndarray:

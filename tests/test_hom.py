@@ -82,10 +82,12 @@ class TestGaussianOracle:
         assert np.max(np.abs(trace.p_coincidence - expected)) < 1e-6
         assert plan_builds == []
 
-    def test_uniform_and_direct_paths_agree(self):
+    @pytest.mark.parametrize("m", [2, 5, 64])
+    def test_uniform_and_direct_paths_agree(self, plan_builds, m):
         jsa = gaussian_state(points=1001)
-        delays = np.linspace(-4 / SIGMA, 4 / SIGMA, 64)
+        delays = np.linspace(-4 / SIGMA, 4 / SIGMA, m)
         fast = hom.coincidence_trace(jsa, delays).p_coincidence
+        assert len(plan_builds) == 1
         w = jsa.grid.omega_minus()
         c = jsa.amplitudes
         kernel = c * np.conj(c[::-1]) * jsa.grid.step_minus / jsa.norm_squared
@@ -106,6 +108,23 @@ class TestGaussianOracle:
         assert len(plan_builds) == 1
         assert np.max(np.abs(p - hom.gaussian_trace(SIGMA, delays))) < 1e-12
         assert np.max(np.abs(p - slow)) < 1e-12
+
+    def test_axis_with_slightly_longer_steps_does_not_drift(self, plan_builds):
+        # Every step after the first is 0.9e-9 longer: within 1e-9 of the
+        # first step, yet the axis ends 3.6e-7 steps past where repeating
+        # the first step would put it.
+        jsa = gaussian_state(points=1001)
+        step = 8 / SIGMA / 400
+        steps = np.full(400, step * (1 + 0.9e-9))
+        steps[0] = step
+        delays = -4 / SIGMA + np.concatenate([[0.0], np.cumsum(steps)])
+        p = hom.coincidence_trace(jsa, delays).p_coincidence
+        slow = hom.coincidence_probability(
+            biphoton.exchange_kernel(jsa),
+            lambda kernel: direct_sum(kernel, jsa.grid.omega_minus(), delays),
+        )
+        assert len(plan_builds) == 1
+        assert np.max(np.abs(p - slow)) < 1e-11
 
 
 class TestPlanCache:
@@ -224,8 +243,11 @@ class TestTraceBasics:
 
     @pytest.mark.parametrize("delays", [[], [0.0]])
     def test_short_delay_axis_rejected(self, delays):
+        jsa = gaussian_state()
         with pytest.raises(ValidationError, match="at least 2 delays"):
-            hom.coincidence_trace(gaussian_state(), delays)
+            hom.coincidence_trace(jsa, delays)
+        with pytest.raises(ValidationError, match="at least 2 delays"):
+            hom.delay_transform(jsa.grid.omega_minus(), delays)
 
     @pytest.mark.parametrize(
         "delays",
@@ -236,8 +258,11 @@ class TestTraceBasics:
         ],
     )
     def test_non_finite_delays_rejected(self, delays):
+        jsa = gaussian_state()
         with pytest.raises(ValidationError, match="finite"):
-            hom.coincidence_trace(gaussian_state(), delays)
+            hom.coincidence_trace(jsa, delays)
+        with pytest.raises(ValidationError, match="finite"):
+            hom.delay_transform(jsa.grid.omega_minus(), delays)
 
     def test_delayed_state_trace_is_shifted(self):
         jsa = gaussian_state()
@@ -308,6 +333,20 @@ class TestVisibility:
         assert hom.visibility(trace) == pytest.approx(0.999, abs=1e-3)
         assert not recwarn.list
 
+    def test_reversed_axis_keeps_baseline_and_visibility(self):
+        # The chip dip's [3w, 5w] baseline window fits inside this span.
+        jsa = biphoton.assemble_jsa_mono(
+            presets.chip_pump(),
+            presets.chip_phase_match(),
+            presets.chip_cavity(),
+            presets.chip_grid(),
+        )
+        delays = np.linspace(-8e-13, 8e-13, 801)
+        forward = hom.coincidence_trace(jsa, delays)
+        reversed_ = hom.coincidence_trace(jsa, delays[::-1])
+        assert reversed_.baseline == pytest.approx(forward.baseline, abs=1e-12)
+        assert hom.visibility(reversed_) == pytest.approx(hom.visibility(forward), abs=1e-12)
+
 
 class TestContrast:
     def test_dip_and_peak(self):
@@ -319,8 +358,9 @@ class TestContrast:
 
 
 class TestFeatureWidth:
-    def test_gaussian_dip_fwhm(self):
-        delays = np.linspace(-8 / SIGMA, 8 / SIGMA, 2001)
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_gaussian_dip_fwhm(self, direction):
+        delays = np.linspace(-8 / SIGMA, 8 / SIGMA, 2001)[::direction]
         trace = hom.coincidence_trace(gaussian_state(), delays)
         expected = hom.gaussian_dip_fwhm(SIGMA)
         assert hom.feature_width(trace) == pytest.approx(expected, rel=1e-3)
