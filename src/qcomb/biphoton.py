@@ -8,6 +8,7 @@ which is an exact index map on grids symmetric about w- = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -104,7 +105,8 @@ class SpectralGrid:
 class Jsa:
     """Complex joint spectral amplitude over a grid, with factor provenance.
 
-    1D amplitudes are indexed by w-; 2D amplitudes by (w+, w-).
+    1D amplitudes are indexed by w-; 2D amplitudes by (w+, w-). Nothing
+    writes to ``amplitudes`` in place, so the norm is computed once.
     """
 
     grid: SpectralGrid
@@ -112,7 +114,7 @@ class Jsa:
     pump_frequency: float
     applied_factors: tuple[str, ...] = field(default_factory=tuple)
 
-    @property
+    @functools.cached_property
     def norm_squared(self) -> float:
         m = float(np.sum(np.abs(self.amplitudes) ** 2))
         if self.grid.is_two_dimensional:
@@ -188,10 +190,10 @@ def _assemble(pump, pm, cav, grid) -> Jsa:
     wp, wm = grid.axes(wp0)
     if pump.mode is PumpMode.MONOCHROMATIC:
         factors = ("phase_match", "cavity")
-        c = _spectral.eval_phase_match(pm, wp, wm)
+        c = _phase_match(pm, grid)
     else:
         factors = ("pump", "phase_match", "cavity")
-        c = _spectral.eval_pump(pump, wp) * _spectral.eval_phase_match(pm, wp, wm)
+        c = _spectral.eval_pump(pump, wp) * _phase_match(pm, grid)
     c = c * _cavity.cavity_factor(
         cav, wp, wm, dispersion=pm.dispersion, dispersion_center=wp0 / 2.0
     )
@@ -201,13 +203,40 @@ def _assemble(pump, pm, cav, grid) -> Jsa:
     return jsa
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# One slot each, as for the delay-transform plan: a sweep over the pump
+# frequency assembles every state from one phase-match factor and delays
+# every state by one tau, while calibration and the fit change the
+# phase-match spec from one state to the next. The arrays are shared by
+# every caller, so they are read-only.
+
+
+@functools.lru_cache(maxsize=1)
+def _phase_match(pm: PhaseMatchSpec, grid: SpectralGrid) -> np.ndarray:
+    """The phase-match factor on the grid's w- axis, shaped like it. The
+    model neglects its w+ dependence, so one array serves every pump."""
+    wp, wm = grid.axes(0.0)
+    return _read_only(_spectral.eval_phase_match(pm, wp, wm))
+
+
+@functools.lru_cache(maxsize=1)
+def _delay_phase(grid: SpectralGrid, tau: float) -> np.ndarray:
+    """exp(i tau w-/2) on the grid's w- axis, shaped like it."""
+    _, wm = grid.axes(0.0)
+    return _read_only(_spectral.cis(tau * wm / 2.0))
+
+
 def apply_delay(jsa: Jsa, tau: float) -> Jsa:
     """Relative-delay operator: multiply by exp(i*tau*w-/2)."""
-    _, wm = jsa.grid.axes(jsa.pump_frequency)
-    phase = np.exp(1j * tau * wm / 2.0)
+    if not math.isfinite(tau):
+        raise ValidationError(f"delay must be finite, got {tau!r}")
     return replace(
         jsa,
-        amplitudes=jsa.amplitudes * phase,
+        amplitudes=jsa.amplitudes * _delay_phase(jsa.grid, float(tau)),
         applied_factors=jsa.applied_factors + (f"delay:{tau!r}",),
     )
 

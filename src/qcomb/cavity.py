@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, require_finite
+from .spectral import cis
 
 
 class Polarization(enum.Enum):
@@ -78,8 +79,13 @@ def amplitude_transmission(
     if dispersion != 0.0:
         d = omega - dispersion_center
         phi = phi + dispersion * d * d
-    e = np.exp(1j * phi)
-    return (1.0 - r) * e / (1.0 - r * e * e)
+    # (1 - r) e / (1 - r e^2) with e = exp(i phi), in real arithmetic:
+    # (1 - r) [(1 - r) cos phi + i (1 + r) sin phi] / ((1 - r)^2 + 4 r sin^2 phi).
+    t = cis(phi)
+    g = (1.0 - r) / ((1.0 - r) ** 2 + 4.0 * r * t.imag**2)
+    t.real *= (1.0 - r) * g
+    t.imag *= (1.0 + r) * g
+    return t[()]
 
 
 def cavity_factor(

@@ -9,6 +9,7 @@ Nelder-Mead with deterministic multi-start over box bounds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,8 +29,10 @@ PARAMETER_NAMES = ("bandwidth", "walkoff", "dispersion", "amplitude", "baseline"
 
 def simulate_counts(trace: hom.HomTrace, pairs_per_bin: float, seed: int) -> np.ndarray:
     """Draw Poisson counts with mean pairs_per_bin * P_c per delay bin."""
-    if pairs_per_bin <= 0:
-        raise ValidationError("pairs_per_bin must be positive")
+    if not 0.0 < pairs_per_bin < math.inf:
+        raise ValidationError(f"pairs_per_bin must be positive and finite, got {pairs_per_bin!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     return rng.poisson(pairs_per_bin * trace.p_coincidence)
 

@@ -17,7 +17,7 @@ from scipy.signal import CZT
 
 from . import biphoton as _biphoton
 from .biphoton import Jsa
-from .errors import ResolutionError, UndefinedVisibilityError, ValidationError
+from .errors import GridSymmetryError, ResolutionError, UndefinedVisibilityError, ValidationError
 
 DIP = "dip"
 PEAK = "peak"
@@ -50,13 +50,19 @@ def _czt_plan(n, m, w, a):
 
 
 def delay_transform(omega, delays):
-    """Reusable map kernel -> sum_n kernel_n exp(-i omega_n tau_k).
+    """Reusable map kernel -> sum_n kernel_n exp(-i omega_n tau_k), real.
 
-    The delays must form a 1D axis of at least 2 finite values. Two paths:
+    Hermitian precondition: omega is an odd axis of at least 3 points
+    symmetric about 0 (``GridSymmetryError`` otherwise), and the kernel
+    satisfies kernel[::-1] == conj(kernel), as every exchange kernel does.
+    The sum is then 2 Re sum_{n >= c} k_n exp(-i omega_n tau) over the
+    upper half, c the center index, k = kernel[c:] and k_c = kernel_c / 2;
+    only that half is transformed, and the result is a real array. The
+    delays must form a 1D axis of at least 2 finite values. Two paths:
 
     - an axis whose offsets delta from ref = linspace(tau_0, tau_last, m)
       satisfy x = max|omega| max|delta| <= 1 gets the Taylor series
-      sum_p (-i delta)^p / p! T_ref(kernel omega^p) on the chirp-z plan of
+      sum_p (-i delta)^p / p! T_ref(k omega^p) on the chirp-z plan of
       ref, with the fewest terms P for which x^P / P! <= ``TAYLOR_TOL``.
       That bounds the truncation error for any kernel with sum |kernel|
       <= 1, as every exchange kernel is (Cauchy-Schwarz). An axis that is
@@ -67,20 +73,42 @@ def delay_transform(omega, delays):
     axis again and again builds it once; a cache hit gives bit-identical
     output.
     """
+    omega = np.asarray(omega, dtype=float)
+    n = omega.size
+    if (
+        omega.ndim != 1
+        or n < 3
+        or n % 2 == 0
+        or np.max(np.abs(omega + omega[::-1])) > 1e-12 * np.max(np.abs(omega))
+    ):
+        raise GridSymmetryError(
+            "the delay transform requires a grid symmetric about w- = 0 with an odd point count"
+        )
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 2:
         raise ValidationError("delay_transform needs a 1D axis of at least 2 delays")
     if not np.all(np.isfinite(delays)):
         raise ValidationError("delay_transform needs finite delays")
+    c = n // 2
+    omega = omega[c:]
+
+    def upper_half(kernel):
+        k = kernel[c:].copy()
+        k[0] /= 2.0
+        return k
+
     m = delays.size
     ref = np.linspace(delays[0], delays[-1], m)
     offset = delays - ref
     scale = float(np.max(np.abs(omega)))
     x = scale * float(np.max(np.abs(offset)))
     if x > 1.0:
-        return lambda kernel: np.array(
-            [np.sum(kernel * np.exp(-1j * omega * t)) for t in delays]
-        )
+
+        def direct(kernel):
+            k = upper_half(kernel)
+            return 2.0 * np.array([np.real(np.sum(k * np.exp(-1j * omega * t))) for t in delays])
+
+        return direct
     dw = omega[1] - omega[0]
     step = (ref[-1] - ref[0]) / (m - 1)
     plan = _czt_plan(
@@ -94,13 +122,14 @@ def delay_transform(omega, delays):
     ratio = -1j * scale * offset
 
     def chirp_z(kernel):
+        kernel = upper_half(kernel)
         out = plan(kernel)
         coef = np.ones(m, dtype=complex)
         for p in range(1, terms):
             kernel = kernel * u
             coef = coef * ratio / p
             out += coef * plan(kernel)
-        return out * post
+        return 2.0 * np.real(out * post)
 
     return chirp_z
 

@@ -105,6 +105,19 @@ def eval_pump(spec: PumpSpec, omega_plus):
     return np.exp(-2.0 * _LN2 * d * d / (spec.linewidth**2))
 
 
+def cis(phase) -> np.ndarray:
+    """exp(i phase) as cos(phase) + i sin(phase), without a complex exp.
+
+    Always an array, 0-d for a scalar phase; arithmetic with a 0-d array
+    gives a scalar again.
+    """
+    phase = np.asarray(phase, dtype=float)
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def eval_phase_match(spec: PhaseMatchSpec, omega_plus, omega_minus):
     """Complex phase-matching amplitude.
 
@@ -115,11 +128,11 @@ def eval_phase_match(spec: PhaseMatchSpec, omega_plus, omega_minus):
     w = np.asarray(omega_minus, dtype=float)
     if spec.shape is PhaseMatchShape.SINC:
         x = 2.0 * SINC_INTENSITY_HWHM * w / spec.bandwidth
-        amp = np.sinc(x / np.pi)  # sin(x)/x
+        amp = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)  # sin(x)/x, 1 at 0
     else:
         amp = np.exp(-2.0 * _LN2 * w * w / (spec.bandwidth**2))
     phase = spec.walkoff * w / 2.0 + spec.dispersion * w * w / 2.0
-    return amp * np.exp(1j * phase)
+    return amp * cis(phase)
 
 
 def eval_filter(spec: FilterSpec, omega):

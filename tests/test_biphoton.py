@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qcomb import biphoton
+from qcomb import biphoton, cli, spectral
 from qcomb.biphoton import SpectralGrid
 from qcomb.cavity import CavitySpec, PumpClassLabel
 from qcomb.errors import (
@@ -22,6 +22,7 @@ from qcomb.spectral import (
     PumpSpec,
 )
 from conftest import FSR
+from test_config_cli import small_config_doc, write_config
 
 
 class TestSpectralGrid:
@@ -198,6 +199,68 @@ class TestDelayAndSymmetry:
         )
         with pytest.raises(GridSymmetryError):
             biphoton.exchange_overlap(jsa)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_rejected(
+        self, resonant_pump, fast_phase_match, fast_cavity, fast_grid, tau
+    ):
+        jsa = biphoton.assemble_jsa_mono(
+            resonant_pump, fast_phase_match, fast_cavity, fast_grid
+        )
+        with pytest.raises(ValidationError, match="delay must be finite"):
+            biphoton.apply_delay(jsa, tau)
+
+
+class TestFactorCaches:
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        biphoton._phase_match.cache_clear()
+        biphoton._delay_phase.cache_clear()
+        yield
+        biphoton._phase_match.cache_clear()
+        biphoton._delay_phase.cache_clear()
+
+    def test_hit_is_bit_identical_to_miss(
+        self, resonant_pump, fast_phase_match, fast_cavity, fast_grid
+    ):
+        states = []
+        for _ in range(2):
+            jsa = biphoton.assemble_jsa_mono(
+                resonant_pump, fast_phase_match, fast_cavity, fast_grid
+            )
+            states.append(biphoton.apply_delay(jsa, 3.2e-12).amplitudes)
+        assert biphoton._phase_match.cache_info().hits == 1
+        assert biphoton._delay_phase.cache_info().hits == 1
+        assert np.array_equal(states[0], states[1])
+
+    def test_cached_arrays_are_read_only(self, fast_phase_match, fast_grid):
+        for factor in (
+            biphoton._phase_match(fast_phase_match, fast_grid),
+            biphoton._delay_phase(fast_grid, 1e-12),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0] = 0.0
+
+    def test_sweep_builds_each_factor_once(self, monkeypatch, tmp_path):
+        calls = []
+        evaluate = spectral.eval_phase_match
+        monkeypatch.setattr(
+            spectral, "eval_phase_match", lambda *a: calls.append(a) or evaluate(*a)
+        )
+        cfg = write_config(tmp_path, small_config_doc())
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--points", "9"]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+        assert biphoton._delay_phase.cache_info().misses == 1
+        assert biphoton._delay_phase.cache_info().hits == 8
+
+    def test_norm_is_computed_once(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
+        jsa = biphoton.assemble_jsa_mono(
+            resonant_pump, fast_phase_match, fast_cavity, fast_grid
+        )
+        assert vars(jsa)["norm_squared"] == jsa.norm_squared == biphoton.Jsa(
+            grid=jsa.grid, amplitudes=jsa.amplitudes, pump_frequency=jsa.pump_frequency
+        ).norm_squared
 
 
 class TestFilter:

@@ -75,6 +75,29 @@ class TestAiryTransmission:
         assert abs(detuned_peak(8)) > 2 * abs(detuned_peak(4)) > 0
 
 
+    @pytest.mark.parametrize("r", [0.0, 0.24, 0.27, 0.5])
+    def test_real_form_matches_complex_form(self, r):
+        # The phase reaches 4e4 rad; phi is built as amplitude_transmission does.
+        cav = CavitySpec(
+            fsr=FSR, reflectivity_signal=r, reflectivity_idler=r, resonance_offset=0.3 * FSR
+        )
+        w = np.linspace(-1.2e4, 1.2e4, 100001) * FSR
+        chirp = dict(dispersion=1e4 / (1.2e4 * FSR) ** 2, dispersion_center=0.5 * FSR)
+        t = amplitude_transmission(cav, Polarization.SIGNAL, w, **chirp)
+        d = w - chirp["dispersion_center"]
+        phi = np.pi * (w - cav.resonance_offset) / cav.fsr + chirp["dispersion"] * d * d
+        assert np.abs(phi).max() > 4e4
+        e = np.exp(1j * phi)
+        assert np.max(np.abs(t - (1 - r) * e / (1 - r * e * e))) <= 1e-15
+
+    def test_scalar_and_array_inputs_keep_their_shape(self):
+        cav = make_cavity(0.27)
+        t = amplitude_transmission(cav, Polarization.SIGNAL, 0.3 * FSR)
+        assert np.isscalar(t) and isinstance(t, complex)
+        w = np.linspace(0.0, FSR, 12).reshape(3, 4)
+        assert amplitude_transmission(cav, Polarization.SIGNAL, w).shape == (3, 4)
+
+
 class TestLinewidth:
     @pytest.mark.parametrize("r", [0.27, 0.5, 0.9])
     def test_matches_numerical_half_maximum(self, r):

@@ -49,6 +49,16 @@ class TestSimulateCounts:
         with pytest.raises(ValidationError):
             simulate_counts(flat_trace(), 0.0, seed=0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValidationError, match="pairs_per_bin"):
+            simulate_counts(flat_trace(), rate, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_counts(flat_trace(), 1e3, seed=seed)
+
 
 def small_problem_parts():
     pump = PumpSpec(center_frequency=2 * 100 * FSR)

@@ -1,10 +1,11 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcomb import biphoton, calibration, cli, estimation, hom, presets
+from qcomb import biphoton, calibration, cli, config, estimation, hom, presets
 from qcomb.biphoton import Jsa, SpectralGrid
 from qcomb.errors import (
     DegenerateStateError,
@@ -125,6 +126,62 @@ class TestGaussianOracle:
         )
         assert len(plan_builds) == 1
         assert np.max(np.abs(p - slow)) < 1e-11
+
+
+@pytest.fixture(scope="module")
+def chip_state():
+    """The golden chip state (65 537 points) and the 401-delay axis of ``qcomb hom``."""
+    path = Path(__file__).resolve().parent / "data" / "golden" / "chip" / "config.json"
+    cfg = config.parse_config(path.read_text())
+    jsa = biphoton.assemble_jsa_mono(cfg.pump, cfg.phase_match, cfg.cavity, cfg.grid)
+    return jsa, cli._delay_axis(cfg, None)
+
+
+def full_grid_trace(jsa, delays):
+    """P_c from the direct sum over every grid point, both halves."""
+    return hom.coincidence_probability(
+        biphoton.exchange_kernel(jsa),
+        lambda kernel: direct_sum(kernel, jsa.grid.omega_minus(), delays),
+    )
+
+
+class TestHalfSpectrum:
+    # On the chip state the full-grid chirp-z plan of earlier versions was
+    # 1.6e-10 from the direct sum on the linspace axis; the half plan,
+    # with its smaller chirp phases, is 3.0e-11.
+    @pytest.mark.parametrize("jitter", [0.0, 0.2])
+    def test_chip_trace_matches_full_grid_direct_sum(self, chip_state, plan_builds, jitter):
+        jsa, delays = chip_state
+        if jitter:
+            delays = jittered(delays, jitter)
+        p = hom.coincidence_trace(jsa, delays).p_coincidence
+        assert len(plan_builds) == 1
+        assert plan_builds[0]["n"] == jsa.grid.points_minus // 2 + 1
+        assert np.max(np.abs(p - full_grid_trace(jsa, delays))) < 1e-10
+
+    def test_chip_direct_path_matches_full_grid_direct_sum(self, chip_state, plan_builds):
+        jsa, delays = chip_state
+        delays = delays[[0, 3, 50, 51, 200, 201, 260, 400]]
+        p = hom.coincidence_trace(jsa, delays).p_coincidence
+        assert plan_builds == []
+        assert np.max(np.abs(p - full_grid_trace(jsa, delays))) < 1e-12
+
+    @pytest.mark.parametrize("delays", [np.linspace(-2.0, 2.0, 33), [-2.0, 0.1, 0.5, 2.0]])
+    def test_any_hermitian_kernel(self, delays):
+        omega = np.linspace(-3.0, 3.0, 101)
+        a = [1.0, 1j] @ np.random.default_rng(5).normal(size=(2, omega.size)) / omega.size
+        kernel = a + np.conj(a[::-1])
+        out = hom.delay_transform(omega, delays)(kernel)
+        assert out.dtype == float
+        assert np.max(np.abs(out - direct_sum(kernel, omega, delays))) < 1e-14
+
+    @pytest.mark.parametrize(
+        "omega",
+        [np.linspace(-1.0, 1.0, 4), np.linspace(-1.0, 1.0, 5) + 0.01, np.array([0.0]), np.zeros((3, 3))],
+    )
+    def test_axis_not_odd_and_symmetric_rejected(self, omega):
+        with pytest.raises(GridSymmetryError, match="symmetric about w- = 0"):
+            hom.delay_transform(omega, [0.0, 1.0])
 
 
 class TestPlanCache:

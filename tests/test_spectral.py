@@ -106,6 +106,34 @@ class TestPhaseMatch:
         )
         assert k(chirped) == pytest.approx(k(base))
 
+    @pytest.mark.parametrize("shape", list(PhaseMatchShape))
+    def test_real_form_matches_complex_exp(self, shape):
+        # The spectral phase reaches 4e4 rad at the ends of the axis.
+        w = np.linspace(-3.0, 3.0, 100001) * BW
+        spec = PhaseMatchSpec(
+            degeneracy_frequency=1e15,
+            bandwidth=BW,
+            walkoff=1e4 / (3.0 * BW),
+            dispersion=8e4 / (3.0 * BW) ** 2,
+            shape=shape,
+        )
+        phase = spec.walkoff * w / 2.0 + spec.dispersion * w * w / 2.0
+        assert np.abs(phase).max() > 4e4
+        if shape is PhaseMatchShape.SINC:
+            amp = np.sinc(2.0 * SINC_INTENSITY_HWHM * w / BW / np.pi)
+        else:
+            amp = np.exp(-2.0 * math.log(2.0) * w * w / BW**2)
+        c = eval_phase_match(spec, 2e15, w)
+        assert np.max(np.abs(c - amp * np.exp(1j * phase))) <= 1e-15
+
+    def test_scalar_input_gives_scalar(self):
+        spec = PhaseMatchSpec(degeneracy_frequency=1e15, bandwidth=BW, walkoff=1e-13)
+        for w in (0.0, 0.3 * BW):
+            c = eval_phase_match(spec, 2e15, w)
+            assert np.isscalar(c) and isinstance(c, complex)
+        assert eval_phase_match(spec, 2e15, 0.0) == 1.0
+        assert eval_phase_match(spec, 2e15, np.zeros((2, 3))).shape == (2, 3)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             PhaseMatchSpec(degeneracy_frequency=1e15, bandwidth=0.0)
