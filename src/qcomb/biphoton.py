@@ -273,6 +273,55 @@ def exchange_kernel(jsa: Jsa) -> np.ndarray:
     return c * np.conj(c[::-1]) * (jsa.grid.step_minus / n2)
 
 
+def exchange_kernel_model(
+    pump: PumpSpec, pm: PhaseMatchSpec, cav: CavitySpec, grid: SpectralGrid
+):
+    """Map (bandwidth, walkoff, dispersion) -> ``exchange_kernel`` of the state
+    ``assemble_jsa_mono`` builds from ``pm`` with those three fields, without
+    assembling it.
+
+    The phase-match phase cancels from C(w)C*(-w) but for exp(i walkoff w),
+    and at a, b = (w_p +- w)/2 both Airy phases carry the same chirp
+    dispersion w^2/4 on top of their linear parts, so with A the envelope
+    K(w) = A(w)^2 exp(i walkoff w) T_s(a) T_i(b) conj(T_s(b) T_i(a)) dw / |C|^2.
+    Each call evaluates it on the w >= 0 half, the norm from the same half,
+    and returns the full Hermitian kernel. The preconditions of
+    ``assemble_jsa_mono`` and ``exchange_kernel`` are checked here once, the
+    spec fields and the norm at each call, with the same errors.
+    """
+    if pump.mode is not PumpMode.MONOCHROMATIC:
+        raise ValidationError("exchange_kernel_model requires a monochromatic pump")
+    if grid.is_two_dimensional:
+        raise ValidationError("exchange_kernel_model requires a 1D grid")
+    _check_resolution(grid, cav)
+    if not grid.is_symmetric():
+        raise GridSymmetryError("the exchange kernel requires a grid symmetric about w- = 0")
+    w = grid.omega_minus()[grid.points_minus // 2 :]
+    dw = grid.step_minus
+    wp = pump.center_frequency
+    # Linear parts pi (x - offset) / fsr of the Airy phases at x = a and x = b.
+    line_a = _spectral.cis(np.pi * ((wp + w) / 2.0 - cav.resonance_offset) / cav.fsr)
+    line_b = _spectral.cis(np.pi * ((wp - w) / 2.0 - cav.resonance_offset) / cav.fsr)
+    r_s, r_i = cav.reflectivity_signal, cav.reflectivity_idler
+
+    def kernel(bandwidth, walkoff, dispersion):
+        spec = replace(pm, bandwidth=bandwidth, walkoff=walkoff, dispersion=dispersion)
+        chirp = _spectral.cis(spec.dispersion * w * w / 4.0)
+        e_a, e_b = line_a * chirp, line_b * chirp
+        p = _cavity.airy(r_s, e_a) * _cavity.airy(r_i, e_b)  # C(w) over its phase-match factor
+        q = _cavity.airy(r_s, e_b) * _cavity.airy(r_i, e_a)  # C(-w) likewise
+        weight = _spectral.phase_match_envelope(spec, w) ** 2
+        both = p.real**2 + p.imag**2 + q.real**2 + q.imag**2
+        both[0] /= 2.0  # w = 0 is one sample, where p = q
+        n2 = float(np.sum(weight * both)) * dw
+        if not 0.0 < n2 < math.inf:
+            raise DegenerateStateError("zero or non-finite norm")
+        half = weight * (dw / n2) * _spectral.cis(spec.walkoff * w) * p * np.conj(q)
+        return np.concatenate((np.conj(half[:0:-1]), half))
+
+    return kernel
+
+
 def exchange_overlap(jsa: Jsa) -> complex:
     """Normalized overlap between the state and its particle-swapped mirror.
 

@@ -79,13 +79,19 @@ def amplitude_transmission(
     if dispersion != 0.0:
         d = omega - dispersion_center
         phi = phi + dispersion * d * d
-    # (1 - r) e / (1 - r e^2) with e = exp(i phi), in real arithmetic:
-    # (1 - r) [(1 - r) cos phi + i (1 + r) sin phi] / ((1 - r)^2 + 4 r sin^2 phi).
-    t = cis(phi)
-    g = (1.0 - r) / ((1.0 - r) ** 2 + 4.0 * r * t.imag**2)
-    t.real *= (1.0 - r) * g
-    t.imag *= (1.0 + r) * g
-    return t[()]
+    return airy(r, cis(phi))[()]
+
+
+def airy(r: float, e: np.ndarray) -> np.ndarray:
+    """Airy amplitude transmission (1 - r) e / (1 - r e^2) of the phasor
+    e = exp(i phi), in real arithmetic:
+    (1 - r) [(1 - r) cos phi + i (1 + r) sin phi] / ((1 - r)^2 + 4 r sin^2 phi).
+    """
+    g = (1.0 - r) / ((1.0 - r) ** 2 + 4.0 * r * e.imag**2)
+    t = np.empty_like(e)
+    np.multiply(e.real, (1.0 - r) * g, out=t.real)
+    np.multiply(e.imag, (1.0 + r) * g, out=t.imag)
+    return t
 
 
 def cavity_factor(

@@ -180,13 +180,15 @@ def _cmd_sweep(run: _Run) -> int:
     flip = np.pi / fsr
     detunings = np.linspace(0.0, 2.0 * fsr, steps)
     delays = _delay_axis(config, 201)
+    omega = config.grid.omega_minus()
     rows = []
     for d in detunings:
         pump = replace(config.pump, center_frequency=config.pump.center_frequency + d)
         jsa = biphoton.assemble_jsa_mono(pump, config.phase_match, config.cavity, config.grid)
         jsa = biphoton.apply_delay(jsa, flip)
-        s = biphoton.exchange_overlap(jsa)
-        trace = hom.coincidence_trace(jsa, delays)
+        kernel = biphoton.exchange_kernel(jsa)
+        s = complex(np.sum(kernel))  # the exchange overlap
+        trace = hom.kernel_trace(kernel, omega, delays)
         rows.append((d, s.real, hom.contrast(trace), trace.extremum_kind))
     near_one_fsr = int(np.argmin(np.abs(detunings - fsr)))
     if not (rows[0][1] > 0.0 and rows[near_one_fsr][1] < 0.0):

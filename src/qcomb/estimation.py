@@ -2,7 +2,10 @@
 
 The trace model has five free parameters: phase-matching bandwidth,
 walk-off, dispersion, an overall amplitude scale, and an additive
-baseline (uncorrelated background counts). Optimization is derivative-free
+baseline (uncorrelated background counts). It is the delay transform of
+the exchange kernel that ``biphoton.exchange_kernel_model`` evaluates
+from the first three on the w- >= 0 half, with the state delay folded
+into the walk-off; no state is assembled. Optimization is derivative-free
 Nelder-Mead with deterministic multi-start over box bounds.
 """
 
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -26,6 +29,9 @@ SPEED_OF_LIGHT = 299792458.0
 
 PARAMETER_NAMES = ("bandwidth", "walkoff", "dispersion", "amplitude", "baseline")
 
+#: Largest mean numpy's Poisson sampler accepts: INT64_MAX - 10 sqrt(INT64_MAX).
+POISSON_RATE_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
 
 def simulate_counts(trace: hom.HomTrace, pairs_per_bin: float, seed: int) -> np.ndarray:
     """Draw Poisson counts with mean pairs_per_bin * P_c per delay bin."""
@@ -33,8 +39,13 @@ def simulate_counts(trace: hom.HomTrace, pairs_per_bin: float, seed: int) -> np.
         raise ValidationError(f"pairs_per_bin must be positive and finite, got {pairs_per_bin!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    rate = pairs_per_bin * trace.p_coincidence
+    if np.any(rate > POISSON_RATE_MAX):
+        raise ValidationError(
+            f"pairs_per_bin {pairs_per_bin!r} gives a mean count above numpy's Poisson limit {POISSON_RATE_MAX!r}"
+        )
     rng = np.random.default_rng(seed)
-    return rng.poisson(pairs_per_bin * trace.p_coincidence)
+    return rng.poisson(rate)
 
 
 @dataclass(frozen=True)
@@ -107,19 +118,15 @@ def fit_hom_trace(
     residual across accepted starts is returned; ties break by start index.
     """
     transform = hom.delay_transform(problem.grid.omega_minus(), problem.delays)
+    kernel = _biphoton.exchange_kernel_model(
+        problem.pump, problem.phase_match_template, problem.cavity, problem.grid
+    )
 
     def model(theta):
         bandwidth, walkoff, dispersion, amplitude, baseline = theta
         # Walk-off and the state delay both multiply the state by exp(i tau w-/2).
-        pm = replace(
-            problem.phase_match_template,
-            bandwidth=bandwidth,
-            walkoff=walkoff + problem.state_delay,
-            dispersion=dispersion,
-        )
-        jsa = _biphoton.assemble_jsa_mono(problem.pump, pm, problem.cavity, problem.grid)
-        kernel = _biphoton.exchange_kernel(jsa)
-        return amplitude * hom.coincidence_probability(kernel, transform) + baseline
+        k = kernel(bandwidth, walkoff + problem.state_delay, dispersion)
+        return amplitude * hom.coincidence_probability(k, transform) + baseline
 
     lo = np.array([problem.bounds[n][0] for n in PARAMETER_NAMES])
     hi = np.array([problem.bounds[n][1] for n in PARAMETER_NAMES])

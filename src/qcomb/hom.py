@@ -196,11 +196,17 @@ def _baseline_window(delays, p, i_ext, kind, level):
 
 def coincidence_trace(jsa: Jsa, delays) -> HomTrace:
     """Compute the coincidence trace of a 1D state over the given delays."""
+    return kernel_trace(_biphoton.exchange_kernel(jsa), jsa.grid.omega_minus(), delays)
+
+
+def kernel_trace(kernel, omega, delays) -> HomTrace:
+    """The coincidence trace of an exchange kernel on the w- axis ``omega``.
+
+    Taking the kernel keeps it allocated before the plan: the order of these
+    large allocations sets the process's peak resident memory.
+    """
     delays = np.asarray(delays, dtype=float)
-    # Kernel first, then the plan: the order of these large allocations
-    # sets the process's peak resident memory.
-    kernel = _biphoton.exchange_kernel(jsa)
-    p = coincidence_probability(kernel, delay_transform(jsa.grid.omega_minus(), delays))
+    p = coincidence_probability(kernel, delay_transform(omega, delays))
     baseline, extremum, kind = _annotate(delays, p)
     return HomTrace(
         delays=delays,

@@ -118,21 +118,26 @@ def cis(phase) -> np.ndarray:
     return out
 
 
+def phase_match_envelope(spec: PhaseMatchSpec, omega_minus):
+    """Real phase-matching amplitude, even in the difference frequency,
+    with unit peak and intensity FWHM ``spec.bandwidth``."""
+    w = np.asarray(omega_minus, dtype=float)
+    if spec.shape is PhaseMatchShape.SINC:
+        x = 2.0 * SINC_INTENSITY_HWHM * w / spec.bandwidth
+        return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)  # sin(x)/x, 1 at 0
+    return np.exp(-2.0 * _LN2 * w * w / (spec.bandwidth**2))
+
+
 def eval_phase_match(spec: PhaseMatchSpec, omega_plus, omega_minus):
     """Complex phase-matching amplitude.
 
-    The amplitude is even in the difference frequency; the spectral phase
+    The envelope is even in the difference frequency; the spectral phase
     walkoff*w/2 + dispersion*w^2/2 is carried on top. Dependence on the sum
     frequency is neglected over the simulated window.
     """
     w = np.asarray(omega_minus, dtype=float)
-    if spec.shape is PhaseMatchShape.SINC:
-        x = 2.0 * SINC_INTENSITY_HWHM * w / spec.bandwidth
-        amp = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)  # sin(x)/x, 1 at 0
-    else:
-        amp = np.exp(-2.0 * _LN2 * w * w / (spec.bandwidth**2))
     phase = spec.walkoff * w / 2.0 + spec.dispersion * w * w / 2.0
-    return amp * cis(phase)
+    return phase_match_envelope(spec, w) * cis(phase)
 
 
 def eval_filter(spec: FilterSpec, omega):

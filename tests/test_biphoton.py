@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from qcomb.errors import (
 from qcomb.spectral import (
     FilterShape,
     FilterSpec,
+    PhaseMatchShape,
     PhaseMatchSpec,
     PumpMode,
     PumpSpec,
@@ -254,6 +256,15 @@ class TestFactorCaches:
         assert biphoton._delay_phase.cache_info().misses == 1
         assert biphoton._delay_phase.cache_info().hits == 8
 
+    def test_sweep_builds_one_exchange_kernel_per_state(self, monkeypatch, tmp_path):
+        calls = []
+        kernel = biphoton.exchange_kernel
+        monkeypatch.setattr(biphoton, "exchange_kernel", lambda jsa: calls.append(jsa) or kernel(jsa))
+        cfg = write_config(tmp_path, small_config_doc())
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--points", "9"]
+        assert cli.main(argv) == 0
+        assert len(calls) == 9
+
     def test_norm_is_computed_once(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
         jsa = biphoton.assemble_jsa_mono(
             resonant_pump, fast_phase_match, fast_cavity, fast_grid
@@ -294,6 +305,84 @@ class TestFilter:
         )
         with pytest.raises(OverFilteredError):
             biphoton.apply_filter(jsa, far)
+
+
+#: Chip free spectral range and an even-resonant pump near 392 THz, where the
+#: Airy phases reach 3e4 rad, as in the fit.
+CHIP_FSR = 2.0 * math.pi * 19.2e9
+CHIP_PUMP = 2 * 10205 * CHIP_FSR
+KERNEL_CAVITIES = {
+    "chip": CavitySpec(fsr=CHIP_FSR, reflectivity_signal=0.27, reflectivity_idler=0.24),
+    "offset": CavitySpec(
+        fsr=CHIP_FSR, reflectivity_signal=0.27, reflectivity_idler=0.24, resonance_offset=0.3 * CHIP_FSR
+    ),
+    "unequal": CavitySpec(fsr=CHIP_FSR, reflectivity_signal=0.5, reflectivity_idler=0.0),
+}
+
+
+class TestExchangeKernelModel:
+    """The factored kernel against the kernel of the assembled state."""
+
+    grid = SpectralGrid(span_minus=200 * CHIP_FSR, points_minus=4001)
+
+    @staticmethod
+    def relative_error(got, ref):
+        return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("cavity", list(KERNEL_CAVITIES))
+    @pytest.mark.parametrize("pump_frequency", [CHIP_PUMP, CHIP_PUMP + CHIP_FSR], ids=["resonant", "anti_resonant"])
+    @pytest.mark.parametrize("shape", list(PhaseMatchShape))
+    def test_matches_assembled_state(self, cavity, pump_frequency, shape):
+        cav = KERNEL_CAVITIES[cavity]
+        pump = PumpSpec(center_frequency=pump_frequency)
+        pm = PhaseMatchSpec(degeneracy_frequency=CHIP_PUMP / 2, bandwidth=60 * CHIP_FSR, shape=shape)
+        kernel = biphoton.exchange_kernel_model(pump, pm, cav, self.grid)
+        for i, (kappa2, kappa1) in enumerate(
+            itertools.product([0.0, 3.3e-27, 3e-26], [-1e-12, 0.0, 2e-13])
+        ):
+            bandwidth = (40 + 5 * i) * CHIP_FSR
+            spec = dataclasses.replace(pm, bandwidth=bandwidth, walkoff=kappa1, dispersion=kappa2)
+            ref = biphoton.exchange_kernel(biphoton.assemble_jsa_mono(pump, spec, cav, self.grid))
+            got = kernel(bandwidth, kappa1, kappa2)
+            assert self.relative_error(got, ref) < 1e-10, (kappa2, kappa1)
+
+    def test_state_delay_folds_into_walkoff(self):
+        cav = KERNEL_CAVITIES["offset"]
+        pump = PumpSpec(center_frequency=CHIP_PUMP + CHIP_FSR)
+        pm = PhaseMatchSpec(
+            degeneracy_frequency=CHIP_PUMP / 2, bandwidth=60 * CHIP_FSR, walkoff=2e-13, dispersion=3.3e-27
+        )
+        tau = math.pi / CHIP_FSR
+        jsa = biphoton.apply_delay(biphoton.assemble_jsa_mono(pump, pm, cav, self.grid), tau)
+        got = biphoton.exchange_kernel_model(pump, pm, cav, self.grid)(
+            pm.bandwidth, pm.walkoff + tau, pm.dispersion
+        )
+        assert self.relative_error(got, biphoton.exchange_kernel(jsa)) < 1e-10
+
+    def test_rejects_what_assembly_rejects(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
+        model = biphoton.exchange_kernel_model
+        broadband = PumpSpec(center_frequency=200 * FSR, mode=PumpMode.GAUSSIAN_BROADBAND, linewidth=FSR)
+        with pytest.raises(ValidationError, match="monochromatic pump"):
+            model(broadband, fast_phase_match, fast_cavity, fast_grid)
+        two_d = dataclasses.replace(fast_grid, span_plus=4 * FSR, points_plus=5, center_plus=200 * FSR)
+        with pytest.raises(ValidationError, match="1D grid"):
+            model(resonant_pump, fast_phase_match, fast_cavity, two_d)
+        sharp = CavitySpec(fsr=FSR, reflectivity_signal=0.99, reflectivity_idler=0.99)
+        coarse = SpectralGrid(span_minus=16 * FSR, points_minus=65)
+        with pytest.raises(ResolutionError):
+            model(resonant_pump, fast_phase_match, sharp, coarse)
+        for change in ({"center_minus": 0.5 * FSR}, {"points_minus": 512}):
+            with pytest.raises(GridSymmetryError):
+                model(resonant_pump, fast_phase_match, fast_cavity, dataclasses.replace(fast_grid, **change))
+        kernel = model(resonant_pump, fast_phase_match, fast_cavity, fast_grid)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            DegenerateStateError, match="zero or non-finite norm"
+        ):
+            kernel(1e-300, 0.0, 0.0)
+        for bad in ({"bandwidth": 0.0}, {"walkoff": math.nan}, {"dispersion": math.inf}):
+            args = {"bandwidth": 4 * FSR, "walkoff": 0.0, "dispersion": 0.0, **bad}
+            with pytest.raises(ValidationError):
+                kernel(**args)
 
 
 class TestCombPeaks:

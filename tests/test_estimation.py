@@ -20,6 +20,10 @@ from qcomb.spectral import PhaseMatchSpec, PumpSpec
 from conftest import FSR
 
 
+#: numpy's largest Poisson mean, INT64_MAX - 10 sqrt(INT64_MAX).
+NUMPY_POISSON_LIMIT = 9.223372006484771e18
+
+
 def flat_trace(n=100, level=0.5):
     delays = np.linspace(-1.0, 1.0, n)
     return hom.HomTrace(
@@ -58,6 +62,16 @@ class TestSimulateCounts:
     def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
         with pytest.raises(ValidationError, match="seed"):
             simulate_counts(flat_trace(), 1e3, seed=seed)
+
+    def test_rejects_rate_above_the_poisson_limit(self):
+        with pytest.raises(ValidationError, match="pairs_per_bin"):
+            simulate_counts(flat_trace(), 1e20, seed=0)
+        with pytest.raises(ValidationError, match="pairs_per_bin"):
+            simulate_counts(flat_trace(), 2.0 * np.nextafter(NUMPY_POISSON_LIMIT, math.inf), seed=0)
+
+    def test_draws_a_rate_at_the_poisson_limit(self):
+        counts = simulate_counts(flat_trace(), 2.0 * NUMPY_POISSON_LIMIT, seed=0)
+        assert counts.shape == (100,) and np.all(counts > 0)
 
 
 def small_problem_parts():
@@ -173,6 +187,17 @@ class TestFit:
         problem = replace(problem, grid=replace(problem.grid, **grid_change))
         with pytest.raises(GridSymmetryError):
             fit_hom_trace(problem, self.settings)
+
+    def test_fit_assembles_no_state(self, monkeypatch):
+        problem, theta = small_problem_parts()
+        calls = []
+        assemble = biphoton.assemble_jsa_mono
+        monkeypatch.setattr(
+            biphoton, "assemble_jsa_mono", lambda *a: calls.append(a) or assemble(*a)
+        )
+        result = fit_hom_trace(problem, FitSettings(starts=1, xatol=1e-3), initial=theta)
+        assert result.iterations > 0
+        assert calls == []
 
     def test_noiseless_recovery(self):
         problem, theta = small_problem_parts()
