@@ -190,10 +190,10 @@ def _assemble(pump, pm, cav, grid) -> Jsa:
     wp, wm = grid.axes(wp0)
     if pump.mode is PumpMode.MONOCHROMATIC:
         factors = ("phase_match", "cavity")
-        c = _phase_match(pm, grid)
+        c = _spectral.eval_phase_match(pm, wp, wm)
     else:
         factors = ("pump", "phase_match", "cavity")
-        c = _spectral.eval_pump(pump, wp) * _phase_match(pm, grid)
+        c = _spectral.eval_pump(pump, wp) * _spectral.eval_phase_match(pm, wp, wm)
     c = c * _cavity.cavity_factor(
         cav, wp, wm, dispersion=pm.dispersion, dispersion_center=wp0 / 2.0
     )
@@ -203,40 +203,13 @@ def _assemble(pump, pm, cav, grid) -> Jsa:
     return jsa
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-# One slot each, as for the delay-transform plan: a sweep over the pump
-# frequency assembles every state from one phase-match factor and delays
-# every state by one tau, while calibration and the fit change the
-# phase-match spec from one state to the next. The arrays are shared by
-# every caller, so they are read-only.
-
-
-@functools.lru_cache(maxsize=1)
-def _phase_match(pm: PhaseMatchSpec, grid: SpectralGrid) -> np.ndarray:
-    """The phase-match factor on the grid's w- axis, shaped like it. The
-    model neglects its w+ dependence, so one array serves every pump."""
-    wp, wm = grid.axes(0.0)
-    return _read_only(_spectral.eval_phase_match(pm, wp, wm))
-
-
-@functools.lru_cache(maxsize=1)
-def _delay_phase(grid: SpectralGrid, tau: float) -> np.ndarray:
-    """exp(i tau w-/2) on the grid's w- axis, shaped like it."""
-    _, wm = grid.axes(0.0)
-    return _read_only(_spectral.cis(tau * wm / 2.0))
-
-
 def apply_delay(jsa: Jsa, tau: float) -> Jsa:
     """Relative-delay operator: multiply by exp(i*tau*w-/2)."""
     if not math.isfinite(tau):
         raise ValidationError(f"delay must be finite, got {tau!r}")
     return replace(
         jsa,
-        amplitudes=jsa.amplitudes * _delay_phase(jsa.grid, float(tau)),
+        amplitudes=jsa.amplitudes * _spectral.cis(tau * jsa.grid.omega_minus() / 2.0),
         applied_factors=jsa.applied_factors + (f"delay:{tau!r}",),
     )
 
@@ -276,18 +249,22 @@ def exchange_kernel(jsa: Jsa) -> np.ndarray:
 def exchange_kernel_model(
     pump: PumpSpec, pm: PhaseMatchSpec, cav: CavitySpec, grid: SpectralGrid
 ):
-    """Map (bandwidth, walkoff, dispersion) -> ``exchange_kernel`` of the state
-    ``assemble_jsa_mono`` builds from ``pm`` with those three fields, without
-    assembling it.
+    """Map (bandwidth, walkoff, dispersion, detuning) -> ``exchange_kernel`` of
+    the state ``assemble_jsa_mono`` builds from ``pm`` with those three fields
+    and a pump ``detuning`` rad/s above ``pump``, without assembling it.
 
     The phase-match phase cancels from C(w)C*(-w) but for exp(i walkoff w),
     and at a, b = (w_p +- w)/2 both Airy phases carry the same chirp
     dispersion w^2/4 on top of their linear parts, so with A the envelope
     K(w) = A(w)^2 exp(i walkoff w) T_s(a) T_i(b) conj(T_s(b) T_i(a)) dw / |C|^2.
-    Each call evaluates it on the w >= 0 half, the norm from the same half,
-    and returns the full Hermitian kernel. The preconditions of
-    ``assemble_jsa_mono`` and ``exchange_kernel`` are checked here once, the
-    spec fields and the norm at each call, with the same errors.
+    The chirp is centred on the pump's half-frequency, so detuning the pump
+    by d only multiplies both Airy phasors by exp(i pi d / (2 fsr)). Each
+    call evaluates K on the w >= 0 half, the norm from the same half, and
+    returns the full Hermitian kernel. The phasors, envelope and ramp of the
+    last (bandwidth, walkoff, dispersion) are kept, so a sweep over the
+    detuning computes them once. The preconditions of ``assemble_jsa_mono``
+    and ``exchange_kernel`` are checked here once, the spec fields, the
+    detuning and the norm at each call, with the same errors.
     """
     if pump.mode is not PumpMode.MONOCHROMATIC:
         raise ValidationError("exchange_kernel_model requires a monochromatic pump")
@@ -304,19 +281,28 @@ def exchange_kernel_model(
     line_b = _spectral.cis(np.pi * ((wp - w) / 2.0 - cav.resonance_offset) / cav.fsr)
     r_s, r_i = cav.reflectivity_signal, cav.reflectivity_idler
 
-    def kernel(bandwidth, walkoff, dispersion):
+    @functools.lru_cache(maxsize=1)
+    def spec_factors(bandwidth, walkoff, dispersion):
         spec = replace(pm, bandwidth=bandwidth, walkoff=walkoff, dispersion=dispersion)
         chirp = _spectral.cis(spec.dispersion * w * w / 4.0)
-        e_a, e_b = line_a * chirp, line_b * chirp
+        weight = _spectral.phase_match_envelope(spec, w) ** 2
+        return line_a * chirp, line_b * chirp, weight, _spectral.cis(spec.walkoff * w)
+
+    def kernel(bandwidth, walkoff, dispersion, detuning=0.0):
+        e_a, e_b, weight, ramp = spec_factors(bandwidth, walkoff, dispersion)
+        if detuning:  # so the fit and calibration pay nothing for it
+            if not math.isfinite(detuning):
+                raise ValidationError(f"pump detuning must be finite, got {detuning!r}")
+            shift = _spectral.cis(np.pi * detuning / (2.0 * cav.fsr))
+            e_a, e_b = e_a * shift, e_b * shift
         p = _cavity.airy(r_s, e_a) * _cavity.airy(r_i, e_b)  # C(w) over its phase-match factor
         q = _cavity.airy(r_s, e_b) * _cavity.airy(r_i, e_a)  # C(-w) likewise
-        weight = _spectral.phase_match_envelope(spec, w) ** 2
         both = p.real**2 + p.imag**2 + q.real**2 + q.imag**2
         both[0] /= 2.0  # w = 0 is one sample, where p = q
         n2 = float(np.sum(weight * both)) * dw
         if not 0.0 < n2 < math.inf:
             raise DegenerateStateError("zero or non-finite norm")
-        half = weight * (dw / n2) * _spectral.cis(spec.walkoff * w) * p * np.conj(q)
+        half = weight * (dw / n2) * ramp * p * np.conj(q)
         return np.concatenate((np.conj(half[:0:-1]), half))
 
     return kernel

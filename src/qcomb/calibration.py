@@ -4,12 +4,14 @@ The source's chromatic dispersion and uncorrelated-background level are
 not known a priori. This module tunes them so the simulated interference
 jointly matches a target dip visibility at zero relative delay and a
 target residual visibility after the symmetry-flipping delay, using only
-the model itself (a scalar root find per knob).
+the model itself: a scalar root find for the dispersion, on the factored
+exchange kernel of ``biphoton.exchange_kernel_model``, and a closed form
+for the baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -59,25 +61,31 @@ def calibrate_dispersion(
 
     Without dispersion the symmetry-flipped comb retains a sizable residual
     dip; chirping the resonance comb washes it out. The depth decreases
-    monotonically over the bracket, so a scalar root find suffices.
+    monotonically over the bracket, so a scalar root find suffices. Each
+    depth is read off the trace of ``biphoton.exchange_kernel_model``'s
+    kernel, with the flip delay folded into the walk-off; no state is
+    assembled.
     """
+    model = biphoton.exchange_kernel_model(pump, phase_match, cavity, grid)
     delays = np.linspace(-DELAY_SPAN, DELAY_SPAN, DELAY_POINTS)
-
-    def residual_depth(kappa2):
-        pm = replace(phase_match, dispersion=kappa2)
-        jsa = biphoton.assemble_jsa_mono(pump, pm, cavity, grid)
-        trace = hom.trace_for_delayed_state(jsa, flip_delay, delays)
-        return hom.contrast(trace)
-
-    def objective(kappa2):
-        return residual_depth(kappa2) - target_residual_depth
-
+    # The flip delay folds into the walk-off. The model goes in through args,
+    # not a closure: brentq's NaN guard holds its objective in a reference
+    # cycle, which would keep the model's arrays alive until the cyclic
+    # collector runs.
+    walkoff = phase_match.walkoff + flip_delay
+    args = (model, phase_match.bandwidth, walkoff, grid.omega_minus(), delays, target_residual_depth)
     try:
-        return float(brentq(objective, *bracket, xtol=1e-31))
+        return float(brentq(_depth_error, *bracket, args=args, xtol=1e-31))
     except ValueError as exc:  # brentq: f(lo) and f(hi) have the same sign
         raise ValidationError(
             "target residual depth not bracketed; widen the dispersion bracket"
         ) from exc
+
+
+def _depth_error(kappa2, model, bandwidth, walkoff, omega, delays, target):
+    """Residual dip depth of the flipped state at dispersion kappa2, less the target."""
+    kernel = model(bandwidth, walkoff, kappa2)
+    return hom.contrast(hom.kernel_trace(kernel, omega, delays)) - target
 
 
 @dataclass(frozen=True)

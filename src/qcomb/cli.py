@@ -181,12 +181,12 @@ def _cmd_sweep(run: _Run) -> int:
     detunings = np.linspace(0.0, 2.0 * fsr, steps)
     delays = _delay_axis(config, 201)
     omega = config.grid.omega_minus()
+    pm = config.phase_match
+    model = biphoton.exchange_kernel_model(config.pump, pm, config.cavity, config.grid)
     rows = []
     for d in detunings:
-        pump = replace(config.pump, center_frequency=config.pump.center_frequency + d)
-        jsa = biphoton.assemble_jsa_mono(pump, config.phase_match, config.cavity, config.grid)
-        jsa = biphoton.apply_delay(jsa, flip)
-        kernel = biphoton.exchange_kernel(jsa)
+        # The flip delay folds into the walk-off, as in the fit.
+        kernel = model(pm.bandwidth, pm.walkoff + flip, pm.dispersion, detuning=d)
         s = complex(np.sum(kernel))  # the exchange overlap
         trace = hom.kernel_trace(kernel, omega, delays)
         rows.append((d, s.real, hom.contrast(trace), trace.extremum_kind))

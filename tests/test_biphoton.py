@@ -155,6 +155,14 @@ class TestAssembly:
         assert jsa.norm_squared > 0
         assert jsa.amplitudes.shape == (257, 257)
 
+    def test_norm_is_computed_once(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
+        jsa = biphoton.assemble_jsa_mono(
+            resonant_pump, fast_phase_match, fast_cavity, fast_grid
+        )
+        assert vars(jsa)["norm_squared"] == jsa.norm_squared == biphoton.Jsa(
+            grid=jsa.grid, amplitudes=jsa.amplitudes, pump_frequency=jsa.pump_frequency
+        ).norm_squared
+
 
 class TestDelayAndSymmetry:
     def test_delay_composition(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
@@ -213,65 +221,71 @@ class TestDelayAndSymmetry:
             biphoton.apply_delay(jsa, tau)
 
 
-class TestFactorCaches:
-    @pytest.fixture(autouse=True)
-    def fresh_caches(self):
-        biphoton._phase_match.cache_clear()
-        biphoton._delay_phase.cache_clear()
-        yield
-        biphoton._phase_match.cache_clear()
-        biphoton._delay_phase.cache_clear()
+def forbid_states(monkeypatch):
+    """Make every call that builds, delays or takes the kernel of a state fail."""
 
-    def test_hit_is_bit_identical_to_miss(
-        self, resonant_pump, fast_phase_match, fast_cavity, fast_grid
-    ):
-        states = []
-        for _ in range(2):
-            jsa = biphoton.assemble_jsa_mono(
-                resonant_pump, fast_phase_match, fast_cavity, fast_grid
-            )
-            states.append(biphoton.apply_delay(jsa, 3.2e-12).amplitudes)
-        assert biphoton._phase_match.cache_info().hits == 1
-        assert biphoton._delay_phase.cache_info().hits == 1
-        assert np.array_equal(states[0], states[1])
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"biphoton.{name} was called")
 
-    def test_cached_arrays_are_read_only(self, fast_phase_match, fast_grid):
-        for factor in (
-            biphoton._phase_match(fast_phase_match, fast_grid),
-            biphoton._delay_phase(fast_grid, 1e-12),
-        ):
-            with pytest.raises(ValueError, match="read-only"):
-                factor[0] = 0.0
+        return refused
 
-    def test_sweep_builds_each_factor_once(self, monkeypatch, tmp_path):
-        calls = []
-        evaluate = spectral.eval_phase_match
+    for name in ("_assemble", "assemble_jsa_mono", "apply_delay", "exchange_kernel"):
+        monkeypatch.setattr(biphoton, name, refuse(name))
+
+
+def record_kernel_calls(monkeypatch):
+    """Wrap ``biphoton.exchange_kernel_model``; returns the list of models it
+    built and the list of (bandwidth, walkoff, dispersion, detuning) calls
+    made on them."""
+    models, calls = [], []
+    build = biphoton.exchange_kernel_model
+
+    def recording_model(*args):
+        kernel = build(*args)
+
+        def recording(bandwidth, walkoff, dispersion, detuning=0.0):
+            calls.append((bandwidth, walkoff, dispersion, detuning))
+            return kernel(bandwidth, walkoff, dispersion, detuning)
+
+        models.append(recording)
+        return recording
+
+    monkeypatch.setattr(biphoton, "exchange_kernel_model", recording_model)
+    return models, calls
+
+
+class TestSweepKernel:
+    """``qcomb sweep`` runs on one kernel model, not on assembled states."""
+
+    POINTS = 9
+
+    def sweep(self, tmp_path):
+        cfg = write_config(tmp_path, small_config_doc())
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--points", str(self.POINTS)]
+        assert cli.main(argv) == 0
+
+    def test_sweep_assembles_no_state(self, monkeypatch, tmp_path):
+        forbid_states(monkeypatch)
+        self.sweep(tmp_path)
+
+    def test_sweep_computes_its_spec_factors_once(self, monkeypatch, tmp_path):
+        envelopes, phase_matches = [], []
+        envelope, phase_match = spectral.phase_match_envelope, spectral.eval_phase_match
         monkeypatch.setattr(
-            spectral, "eval_phase_match", lambda *a: calls.append(a) or evaluate(*a)
+            spectral, "phase_match_envelope", lambda *a: envelopes.append(a) or envelope(*a)
         )
-        cfg = write_config(tmp_path, small_config_doc())
-        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--points", "9"]
-        assert cli.main(argv) == 0
-        assert len(calls) == 1
-        assert biphoton._delay_phase.cache_info().misses == 1
-        assert biphoton._delay_phase.cache_info().hits == 8
-
-    def test_sweep_builds_one_exchange_kernel_per_state(self, monkeypatch, tmp_path):
-        calls = []
-        kernel = biphoton.exchange_kernel
-        monkeypatch.setattr(biphoton, "exchange_kernel", lambda jsa: calls.append(jsa) or kernel(jsa))
-        cfg = write_config(tmp_path, small_config_doc())
-        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--points", "9"]
-        assert cli.main(argv) == 0
-        assert len(calls) == 9
-
-    def test_norm_is_computed_once(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
-        jsa = biphoton.assemble_jsa_mono(
-            resonant_pump, fast_phase_match, fast_cavity, fast_grid
+        monkeypatch.setattr(
+            spectral, "eval_phase_match", lambda *a: phase_matches.append(a) or phase_match(*a)
         )
-        assert vars(jsa)["norm_squared"] == jsa.norm_squared == biphoton.Jsa(
-            grid=jsa.grid, amplitudes=jsa.amplitudes, pump_frequency=jsa.pump_frequency
-        ).norm_squared
+        models, calls = record_kernel_calls(monkeypatch)
+        self.sweep(tmp_path)
+        assert len(models) == 1
+        assert len(envelopes) == 1
+        assert phase_matches == []
+        detunings = np.linspace(0.0, 2.0 * FSR, self.POINTS)
+        assert [c[3] for c in calls] == pytest.approx(list(detunings), rel=1e-12, abs=0.0)
+        assert len({c[:3] for c in calls}) == 1
 
 
 class TestFilter:
@@ -359,6 +373,25 @@ class TestExchangeKernelModel:
         )
         assert self.relative_error(got, biphoton.exchange_kernel(jsa)) < 1e-10
 
+    @pytest.mark.parametrize("shape", list(PhaseMatchShape))
+    def test_detuning_matches_assembled_detuned_state(self, shape):
+        cav = KERNEL_CAVITIES["offset"]
+        pump = PumpSpec(center_frequency=CHIP_PUMP)
+        pm = PhaseMatchSpec(
+            degeneracy_frequency=CHIP_PUMP / 2, bandwidth=60 * CHIP_FSR, walkoff=2e-13, shape=shape
+        )
+        flip = math.pi / CHIP_FSR
+        kernel = biphoton.exchange_kernel_model(pump, pm, cav, self.grid)
+        # Each dispersion is held over all four detunings, as in a sweep.
+        for kappa2 in (0.0, 3.3e-27, 3e-26):
+            spec = dataclasses.replace(pm, dispersion=kappa2)
+            for d in (0.0, CHIP_FSR / 3, CHIP_FSR, 2 * CHIP_FSR):
+                detuned = dataclasses.replace(pump, center_frequency=CHIP_PUMP + d)
+                jsa = biphoton.assemble_jsa_mono(detuned, spec, cav, self.grid)
+                ref = biphoton.exchange_kernel(biphoton.apply_delay(jsa, flip))
+                got = kernel(pm.bandwidth, pm.walkoff + flip, kappa2, detuning=d)
+                assert self.relative_error(got, ref) < 1e-10, (kappa2, d)
+
     def test_rejects_what_assembly_rejects(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
         model = biphoton.exchange_kernel_model
         broadband = PumpSpec(center_frequency=200 * FSR, mode=PumpMode.GAUSSIAN_BROADBAND, linewidth=FSR)
@@ -379,7 +412,9 @@ class TestExchangeKernelModel:
             DegenerateStateError, match="zero or non-finite norm"
         ):
             kernel(1e-300, 0.0, 0.0)
-        for bad in ({"bandwidth": 0.0}, {"walkoff": math.nan}, {"dispersion": math.inf}):
+        for bad in (
+            {"bandwidth": 0.0}, {"walkoff": math.nan}, {"dispersion": math.inf}, {"detuning": math.nan}
+        ):
             args = {"bandwidth": 4 * FSR, "walkoff": 0.0, "dispersion": 0.0, **bad}
             with pytest.raises(ValidationError):
                 kernel(**args)
