@@ -49,7 +49,7 @@ class UndefinedVisibilityError(QcombError):
 
 
 class NonConvergenceError(QcombError):
-    """No optimizer start converged. Carries the best-effort result."""
+    """The best optimizer start did not converge. Carries its result."""
 
     def __init__(self, message, best_result=None):
         super().__init__(message)

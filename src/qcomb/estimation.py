@@ -5,8 +5,12 @@ walk-off, dispersion, an overall amplitude scale, and an additive
 baseline (uncorrelated background counts). It is the delay transform of
 the exchange kernel that ``biphoton.exchange_kernel_model`` evaluates
 from the first three on the w- >= 0 half, with the state delay folded
-into the walk-off; no state is assembled. Optimization is derivative-free
-Nelder-Mead with deterministic multi-start over box bounds.
+into the walk-off; no state is assembled. The fit is by variable
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973) 413):
+amplitude and baseline enter linearly, so at each point they are solved
+in closed form over their bounds, and derivative-free Nelder-Mead
+searches only the three nonlinear parameters, with deterministic
+multi-start over box bounds and a first start seeded from the data.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .spectral import PhaseMatchSpec, PumpSpec
 SPEED_OF_LIGHT = 299792458.0
 
 PARAMETER_NAMES = ("bandwidth", "walkoff", "dispersion", "amplitude", "baseline")
+#: The parameters the search runs over; amplitude and baseline are linear.
+SEARCHED = PARAMETER_NAMES[:3]
 
 #: Largest mean numpy's Poisson sampler accepts: INT64_MAX - 10 sqrt(INT64_MAX).
 POISSON_RATE_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
@@ -111,70 +117,132 @@ def fit_hom_trace(
     settings: FitSettings = FitSettings(),
     initial: dict | None = None,
 ) -> FitResult:
-    """Bounded Nelder-Mead least squares with deterministic multi-start.
+    """Bounded least squares by variable projection with deterministic multi-start.
 
-    The first start is the midpoint of the bounds (or ``initial`` when
-    given); the remaining starts are seeded uniform draws. The best
-    residual across accepted starts is returned; ties break by start index.
+    Nelder-Mead searches bandwidth, walk-off and dispersion in the unit box
+    of their bounds; at each point the amplitude and baseline are the exact
+    minimisers of the sum of squares over their own bounds. The first start
+    is ``initial`` when given (only those three keys are read), else one
+    seeded from the data (``_seeded_start``); the remaining starts are
+    seeded uniform draws. The best residual across starts is returned, ties
+    breaking by start index, and ``converged`` is that start's own flag.
     """
     transform = hom.delay_transform(problem.grid.omega_minus(), problem.delays)
     kernel = _biphoton.exchange_kernel_model(
         problem.pump, problem.phase_match_template, problem.cavity, problem.grid
     )
-
-    def model(theta):
-        bandwidth, walkoff, dispersion, amplitude, baseline = theta
-        # Walk-off and the state delay both multiply the state by exp(i tau w-/2).
-        k = kernel(bandwidth, walkoff + problem.state_delay, dispersion)
-        return amplitude * hom.coincidence_probability(k, transform) + baseline
-
     lo = np.array([problem.bounds[n][0] for n in PARAMETER_NAMES])
     hi = np.array([problem.bounds[n][1] for n in PARAMETER_NAMES])
     width = hi - lo
     counts = problem.counts
+    m = len(SEARCHED)
 
-    # scipy's bounded Nelder-Mead clips x0, the initial simplex and every trial
-    # point to the unit box, so u never leaves it.
+    def probability(u):
+        bandwidth, walkoff, dispersion = lo[:m] + u[:m] * width[:m]
+        # Walk-off and the state delay both multiply the state by exp(i tau w-/2).
+        k = kernel(bandwidth, walkoff + problem.state_delay, dispersion)
+        return hom.coincidence_probability(k, transform)
+
     def rss(u):
-        r = counts - model(lo + u * width)
-        return float(np.sum(r * r))
+        amplitude, baseline = lo[m:] + u[m:] * width[m:]
+        return _sum_of_squares(counts - amplitude * probability(u) - baseline)
 
-    fatol = 1e-12 * (1.0 + float(np.sum(counts * counts)))
-    first = np.full(len(PARAMETER_NAMES), 0.5)
-    if initial is not None:
-        theta0 = np.array([initial[n] for n in PARAMETER_NAMES])
-        first = np.clip((theta0 - lo) / width, 0.0, 1.0)
+    def project(u):
+        """(amplitude, baseline, sum of squares) at the searched point u."""
+        p = probability(u)
+        a, b = _amplitude_baseline(p, counts, problem.bounds["amplitude"], problem.bounds["baseline"])
+        return a, b, _sum_of_squares(counts - a * p - b)
+
+    def projected_rss(u):
+        return project(u)[2]
+
+    if initial is None:
+        first = _seeded_start(problem, lo[:m], width[:m], projected_rss)
+    else:
+        theta0 = np.array([initial[n] for n in SEARCHED])
+        first = np.clip((theta0 - lo[:m]) / width[:m], 0.0, 1.0)
     rng = np.random.default_rng(settings.seed)
-    starts = [first, *rng.uniform(size=(settings.starts - 1, len(PARAMETER_NAMES)))]
+    starts = [first, *rng.uniform(size=(settings.starts - 1, m))]
     options = {
         "xatol": settings.xatol,
-        "fatol": fatol,
+        "fatol": 1e-12 * (1.0 + _sum_of_squares(counts)),
         "maxiter": settings.maxiter,
         "maxfev": 4 * settings.maxiter,
     }
-    box = [(0.0, 1.0)] * len(PARAMETER_NAMES)
-    runs = [minimize(rss, u0, method="Nelder-Mead", bounds=box, options=options) for u0 in starts]
-    converged = any(r.success for r in runs)
+    # scipy's bounded Nelder-Mead clips x0, the initial simplex and every trial
+    # point to the unit box, so u never leaves it.
+    box = [(0.0, 1.0)] * m
+    runs = [
+        minimize(projected_rss, u0, method="Nelder-Mead", bounds=box, options=options)
+        for u0 in starts
+    ]
     res = min(runs, key=lambda r: r.fun)  # ties keep the earlier start
-    u_opt = res.x
-    theta = lo + u_opt * width
+    amplitude, baseline, residual = project(res.x)
+    theta = np.array([*(lo[:m] + res.x * width[:m]), amplitude, baseline])
+    u_opt = (theta - lo) / width
+    u_opt[:m] = res.x
     parameters = dict(zip(PARAMETER_NAMES, theta.tolist()))
     clipped = {
         n: bool(u_opt[i] < 1e-6 or u_opt[i] > 1.0 - 1e-6)
         for i, n in enumerate(PARAMETER_NAMES)
     }
-    confidence = _confidence_proxy(rss, u_opt, width, res.fun, counts.size)
+    confidence = _confidence_proxy(rss, u_opt, width, residual, counts.size)
     result = FitResult(
         parameters=parameters,
         clipped=clipped,
-        residual=float(res.fun),
+        residual=residual,
         iterations=int(res.nit),
-        converged=converged,
+        converged=bool(res.success),
         confidence=confidence,
     )
-    if not converged:
-        raise NonConvergenceError("no optimizer start converged", best_result=result)
+    if not result.converged:
+        raise NonConvergenceError("the best optimizer start did not converge", best_result=result)
     return result
+
+
+def _seeded_start(problem, lo, width, projected_rss):
+    """First start in the searched unit box, read from the data.
+
+    The model's feature sits at walk-off + state delay, up to the revival
+    period pi / FSR, so the walk-off puts it at the sample farthest from the
+    median count. The bandwidth is the best of 12 points across its bounds
+    at that walk-off and the midpoint dispersion, where the search starts.
+    """
+    counts = problem.counts
+    feature = problem.delays[np.argmax(np.abs(counts - np.median(counts)))]
+    revival = math.pi / problem.cavity.fsr
+    state_delay = problem.state_delay - revival * round(problem.state_delay / revival)
+    walkoff = min(max((feature - state_delay - lo[1]) / width[1], 0.0), 1.0)
+    profile = [np.array([u, walkoff, 0.5]) for u in np.linspace(0.0, 1.0, 12)]
+    return min(profile, key=projected_rss)
+
+
+def _amplitude_baseline(p, y, amplitude_bounds, baseline_bounds):
+    """Exact minimiser (a, b) of ||y - a p - b||^2 over the box of its bounds.
+
+    The objective is a convex quadratic in (a, b): its unconstrained
+    minimiser when that lies in the box, else the best of the four edge
+    minimisers, each clipped to its edge.
+    """
+    (a_lo, a_hi), (b_lo, b_hi) = amplitude_bounds, baseline_bounds
+    p_mean, y_mean = float(np.mean(p)), float(np.mean(y))
+    pc = p - p_mean
+    spp = float(pc @ pc)
+    if spp > 0.0:
+        a = float(pc @ (y - y_mean)) / spp
+        b = y_mean - a * p_mean
+        if a_lo <= a <= a_hi and b_lo <= b <= b_hi:
+            return a, b
+    # A flat p (the feature off the data) leaves a free along a line that
+    # meets the edges; p @ p > 0, since a trace is not zero at every delay.
+    pp = float(p @ p)
+    edges = [(a, min(max(y_mean - a * p_mean, b_lo), b_hi)) for a in (a_lo, a_hi)]
+    edges += [(min(max(float(p @ (y - b)) / pp, a_lo), a_hi), b) for b in (b_lo, b_hi)]
+    return min(edges, key=lambda ab: _sum_of_squares(y - ab[0] * p - ab[1]))
+
+
+def _sum_of_squares(r):
+    return float(r @ r)
 
 
 def _confidence_proxy(rss, u_opt, width, f0, n_data):

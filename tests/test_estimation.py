@@ -1,10 +1,13 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult, lsq_linear
 
-from qcomb import biphoton, estimation, hom
+from qcomb import biphoton, cli, config, estimation, hom
 from qcomb.biphoton import SpectralGrid
 from qcomb.cavity import CavitySpec
 from qcomb.errors import GridSymmetryError, NonConvergenceError, ValidationError
@@ -276,6 +279,117 @@ class TestFit:
         assert result.parameters["bandwidth"] == pytest.approx(
             theta["bandwidth"], rel=0.05
         )
+
+    def test_converged_is_the_best_start_flag(self, monkeypatch):
+        # The best start (lowest residual) fails while the other succeeds.
+        problem, _ = small_problem_parts()
+        runs = []
+
+        def fake_minimize(fun, x0, **kwargs):
+            runs.append(x0)
+            best = len(runs) == 1
+            return OptimizeResult(x=np.asarray(x0), fun=0.0 if best else 1.0, success=not best, nit=1)
+
+        monkeypatch.setattr(estimation, "minimize", fake_minimize)
+        with pytest.raises(NonConvergenceError) as info:
+            fit_hom_trace(problem, FitSettings(starts=2))
+        assert len(runs) == 2
+        assert info.value.best_result.converged is False
+
+    def test_residual_is_the_sum_of_squares_at_the_parameters(self):
+        # The reported amplitude and baseline are the ones that were scored:
+        # the residual recomputed from the assembled state agrees.
+        problem, _ = small_problem_parts()
+        jsa = biphoton.assemble_jsa_mono(
+            problem.pump, problem.phase_match_template, problem.cavity, problem.grid
+        )
+        trace = hom.trace_for_delayed_state(jsa, problem.state_delay, problem.delays)
+        noisy = replace(
+            problem,
+            counts=simulate_counts(trace, 1e4, seed=5).astype(float),
+            bounds=dict(problem.bounds, amplitude=(1.0, 1e5), baseline=(0.0, 1e3)),
+        )
+        result = fit_hom_trace(noisy, FitSettings(starts=2, xatol=1e-4))
+        theta = result.parameters
+        pm = replace(
+            noisy.phase_match_template,
+            **{n: theta[n] for n in ("bandwidth", "walkoff", "dispersion")},
+        )
+        state = biphoton.assemble_jsa_mono(noisy.pump, pm, noisy.cavity, noisy.grid)
+        p = hom.trace_for_delayed_state(state, noisy.state_delay, noisy.delays).p_coincidence
+        r = noisy.counts - theta["amplitude"] * p - theta["baseline"]
+        assert result.residual == pytest.approx(float(np.sum(r * r)), rel=1e-9)
+
+    def test_chip_trace_with_default_bounds(self):
+        # The CLI's default bounds on the README chip (reduced grid): the
+        # walk-off range is wider than the data and the bandwidth range spans
+        # 100x, so the search must start from what the data show.
+        path = Path(__file__).resolve().parent / "data" / "golden" / "chip" / "config.json"
+        doc = json.loads(path.read_text())
+        doc["grid"] = {"span_minus_thz": 1.5 * 21.82, "points_minus": 2**14 + 1}
+        cfg = config.parse_config(json.dumps(doc))
+        jsa = biphoton.assemble_jsa_mono(cfg.pump, cfg.phase_match, cfg.cavity, cfg.grid)
+        delays = np.linspace(-8e-13, 8e-13, 401)
+        counts = simulate_counts(hom.coincidence_trace(jsa, delays), 1e4, seed=0).astype(float)
+        problem = FitProblem(
+            delays=delays,
+            counts=counts,
+            bounds=cli.default_fit_bounds(cfg, counts),
+            pump=cfg.pump,
+            phase_match_template=cfg.phase_match,
+            cavity=cfg.cavity,
+            grid=cfg.grid,
+        )
+        result = fit_hom_trace(problem)
+        bw = cfg.phase_match.bandwidth
+        assert result.parameters["bandwidth"] == pytest.approx(bw, rel=0.05)
+        assert not result.clipped["walkoff"]
+
+
+class TestAmplitudeBaseline:
+    """The closed-form linear step against scipy's bounded least squares."""
+
+    AMPLITUDE = (1.0, 3.0)
+    BASELINE = (0.5, 1.5)
+
+    @pytest.mark.parametrize(
+        "a_true, b_true, active",
+        [
+            (2.0, 1.0, (False, False)),  # interior
+            (0.2, 1.0, (True, False)),  # amplitude lower edge
+            (4.0, 0.5, (True, False)),  # amplitude upper edge
+            (3.5, 0.0, (False, True)),  # baseline lower edge
+            (1.5, 2.0, (False, True)),  # baseline upper edge
+            (6.0, 2.0, (True, True)),  # corner
+        ],
+    )
+    def test_matches_lsq_linear(self, a_true, b_true, active):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p = rng.uniform(0.0, 1.0, 60)
+            y = a_true * p + b_true + rng.normal(0.0, 0.05, p.size)
+            a, b = estimation._amplitude_baseline(p, y, self.AMPLITUDE, self.BASELINE)
+            ref = lsq_linear(
+                np.column_stack([p, np.ones_like(p)]),
+                y,
+                bounds=([self.AMPLITUDE[0], self.BASELINE[0]], [self.AMPLITUDE[1], self.BASELINE[1]]),
+                method="bvls",
+                tol=1e-14,
+            )
+            assert (a, b) == pytest.approx(tuple(ref.x), rel=1e-9)
+            on_edge = (a in self.AMPLITUDE, b in self.BASELINE)
+            assert on_edge == active
+
+    def test_flat_probability(self):
+        # A trace whose feature lies off the data is flat: the minimiser is
+        # not unique, but its sum of squares is the optimum.
+        rng = np.random.default_rng(12)
+        p = np.full(60, 0.5)
+        y = 1.5 + rng.normal(0.0, 0.05, p.size)
+        a, b = estimation._amplitude_baseline(p, y, self.AMPLITUDE, self.BASELINE)
+        assert self.AMPLITUDE[0] <= a <= self.AMPLITUDE[1]
+        assert self.BASELINE[0] <= b <= self.BASELINE[1]
+        assert np.sum((y - a * p - b) ** 2) == pytest.approx(np.sum((y - y.mean()) ** 2), rel=1e-9)
 
 
 class TestBandwidthReport:
