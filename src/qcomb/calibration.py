@@ -68,12 +68,13 @@ def calibrate_dispersion(
     """
     model = biphoton.exchange_kernel_model(pump, phase_match, cavity, grid)
     delays = np.linspace(-DELAY_SPAN, DELAY_SPAN, DELAY_POINTS)
-    # The flip delay folds into the walk-off. The model goes in through args,
-    # not a closure: brentq's NaN guard holds its objective in a reference
-    # cycle, which would keep the model's arrays alive until the cyclic
-    # collector runs.
+    transform = hom.delay_transform(grid.omega_minus(), delays)
+    # The flip delay folds into the walk-off. The model and the transform go
+    # in through args, not a closure: brentq's NaN guard holds its objective
+    # in a reference cycle, which would keep their arrays alive until the
+    # cyclic collector runs.
     walkoff = phase_match.walkoff + flip_delay
-    args = (model, phase_match.bandwidth, walkoff, grid.omega_minus(), delays, target_residual_depth)
+    args = (model, transform, phase_match.bandwidth, walkoff, delays, target_residual_depth)
     try:
         return float(brentq(_depth_error, *bracket, args=args, xtol=1e-31))
     except ValueError as exc:  # brentq: f(lo) and f(hi) have the same sign
@@ -82,10 +83,10 @@ def calibrate_dispersion(
         ) from exc
 
 
-def _depth_error(kappa2, model, bandwidth, walkoff, omega, delays, target):
+def _depth_error(kappa2, model, transform, bandwidth, walkoff, delays, target):
     """Residual dip depth of the flipped state at dispersion kappa2, less the target."""
     kernel = model(bandwidth, walkoff, kappa2)
-    return hom.contrast(hom.kernel_trace(kernel, omega, delays)) - target
+    return hom.contrast(hom.kernel_trace(kernel, transform, delays)) - target
 
 
 @dataclass(frozen=True)

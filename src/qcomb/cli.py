@@ -180,15 +180,15 @@ def _cmd_sweep(run: _Run) -> int:
     flip = np.pi / fsr
     detunings = np.linspace(0.0, 2.0 * fsr, steps)
     delays = _delay_axis(config, 201)
-    omega = config.grid.omega_minus()
     pm = config.phase_match
     model = biphoton.exchange_kernel_model(config.pump, pm, config.cavity, config.grid)
+    transform = hom.delay_transform(config.grid.omega_minus(), delays)
     rows = []
     for d in detunings:
         # The flip delay folds into the walk-off, as in the fit.
         kernel = model(pm.bandwidth, pm.walkoff + flip, pm.dispersion, detuning=d)
         s = complex(np.sum(kernel))  # the exchange overlap
-        trace = hom.kernel_trace(kernel, omega, delays)
+        trace = hom.kernel_trace(kernel, transform, delays)
         rows.append((d, s.real, hom.contrast(trace), trace.extremum_kind))
     near_one_fsr = int(np.argmin(np.abs(detunings - fsr)))
     if not (rows[0][1] > 0.0 and rows[near_one_fsr][1] < 0.0):

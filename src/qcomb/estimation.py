@@ -29,8 +29,6 @@ from .cavity import CavitySpec
 from .errors import NonConvergenceError, ValidationError, require_finite
 from .spectral import PhaseMatchSpec, PumpSpec
 
-SPEED_OF_LIGHT = 299792458.0
-
 PARAMETER_NAMES = ("bandwidth", "walkoff", "dispersion", "amplitude", "baseline")
 #: The parameters the search runs over; amplitude and baseline are linear.
 SEARCHED = PARAMETER_NAMES[:3]
@@ -96,10 +94,17 @@ class FitSettings:
     maxiter: int = 2000
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValidationError("fit starts must be at least 1")
-        if self.seed < 0:
-            raise ValidationError("fit seed must be non-negative")
+        require_finite(self)
+        for name, least, rule in (
+            ("starts", 1, "at least 1"),
+            ("seed", 0, "non-negative"),
+            ("maxiter", 1, "at least 1"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValidationError(f"fit {name} must be {rule} and an integer, got {value!r}")
+        if not self.xatol > 0.0:
+            raise ValidationError(f"fit xatol must be positive, got {self.xatol!r}")
 
 
 @dataclass(frozen=True)
@@ -262,27 +267,3 @@ def _confidence_proxy(rss, u_opt, width, f0, n_data):
         else:
             out[name] = math.sqrt(2.0 * s2 / h) * width[i]
     return out
-
-
-@dataclass(frozen=True)
-class BandwidthReport:
-    center_wavelength: float
-    wavelength_bandwidth: float
-    per_photon_angular_bandwidth: float
-
-
-def extract_bandwidth_report(result: FitResult, center_wavelength: float) -> BandwidthReport:
-    """Convert a fitted difference-frequency bandwidth to wavelength units.
-
-    The signal/idler wavelength bandwidth is lambda^2 * bandwidth / (2 pi c);
-    the per-photon angular bandwidth is half the difference-frequency one.
-    """
-    if not result.converged:
-        raise ValidationError("bandwidth report requires a converged fit")
-    dw = result.parameters["bandwidth"]
-    dl = center_wavelength**2 * dw / (2.0 * math.pi * SPEED_OF_LIGHT)
-    return BandwidthReport(
-        center_wavelength=center_wavelength,
-        wavelength_bandwidth=dl,
-        per_photon_angular_bandwidth=dw / 2.0,
-    )

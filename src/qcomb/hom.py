@@ -7,7 +7,6 @@ so symmetric states dip to 0 and anti-symmetric states peak at 1.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,13 +41,6 @@ class HomTrace:
 TAYLOR_TOL = 1e-17
 
 
-@functools.lru_cache(maxsize=1)
-def _czt_plan(n, m, w, a):
-    # One slot: callers use their plans one after another (calibration,
-    # sweep, a measured axis), and each plan holds a few MB.
-    return CZT(n=n, m=m, w=w, a=a)
-
-
 def delay_transform(omega, delays):
     """Reusable map kernel -> sum_n kernel_n exp(-i omega_n tau_k), real.
 
@@ -69,9 +61,8 @@ def delay_transform(omega, delays):
       its own linspace takes one term, one plan apply;
     - any other axis gets the direct sum.
 
-    The last plan built is cached, so a caller that transforms onto one
-    axis again and again builds it once; a cache hit gives bit-identical
-    output.
+    The plan lives as long as the returned map, so a caller that transforms
+    onto one axis again and again builds the map once and keeps it.
     """
     omega = np.asarray(omega, dtype=float)
     n = omega.size
@@ -111,8 +102,8 @@ def delay_transform(omega, delays):
         return direct
     dw = omega[1] - omega[0]
     step = (ref[-1] - ref[0]) / (m - 1)
-    plan = _czt_plan(
-        omega.size, m, complex(np.exp(-1j * dw * step)), complex(np.exp(1j * dw * ref[0]))
+    plan = CZT(
+        n=omega.size, m=m, w=complex(np.exp(-1j * dw * step)), a=complex(np.exp(1j * dw * ref[0]))
     )
     post = np.exp(-1j * omega[0] * ref)
     terms = 1
@@ -196,17 +187,20 @@ def _baseline_window(delays, p, i_ext, kind, level):
 
 def coincidence_trace(jsa: Jsa, delays) -> HomTrace:
     """Compute the coincidence trace of a 1D state over the given delays."""
-    return kernel_trace(_biphoton.exchange_kernel(jsa), jsa.grid.omega_minus(), delays)
+    kernel = _biphoton.exchange_kernel(jsa)
+    return kernel_trace(kernel, delay_transform(jsa.grid.omega_minus(), delays), delays)
 
 
-def kernel_trace(kernel, omega, delays) -> HomTrace:
-    """The coincidence trace of an exchange kernel on the w- axis ``omega``.
+def kernel_trace(kernel, transform, delays) -> HomTrace:
+    """The coincidence trace of an exchange kernel under ``transform``.
 
-    Taking the kernel keeps it allocated before the plan: the order of these
-    large allocations sets the process's peak resident memory.
+    ``transform`` is a ``delay_transform`` map built on the same delays; a
+    map of another length raises ``ValidationError``.
     """
     delays = np.asarray(delays, dtype=float)
-    p = coincidence_probability(kernel, delay_transform(omega, delays))
+    p = coincidence_probability(kernel, transform)
+    if p.shape != delays.shape:
+        raise ValidationError(f"the transform gives {p.size} delays, the axis has {delays.size}")
     baseline, extremum, kind = _annotate(delays, p)
     return HomTrace(
         delays=delays,

@@ -76,14 +76,24 @@ def test_no_kernel_model_outlives_calibration(
         return kernel
 
     monkeypatch.setattr(biphoton, "exchange_kernel_model", watched)
+    transforms = []
+    delay_transform = hom.delay_transform
+
+    def watched_transform(*args):
+        transform = delay_transform(*args)
+        transforms.append(weakref.ref(transform))
+        return transform
+
+    monkeypatch.setattr(hom, "delay_transform", watched_transform)
     # Without the cyclic collector, only reference counting can free the
-    # model: a reference cycle that holds it keeps it alive.
+    # model and the transform: a reference cycle that holds them keeps them alive.
     gc.collect()
     gc.disable()
     try:
         calibrate(resonant_pump, fast_phase_match, fast_cavity, fast_grid, 0.4)
-        assert len(models) == 1
+        assert len(models) == 1 and len(transforms) == 1
         assert models[0]() is None
+        assert transforms[0]() is None
     finally:
         gc.enable()
 

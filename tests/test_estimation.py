@@ -13,9 +13,7 @@ from qcomb.cavity import CavitySpec
 from qcomb.errors import GridSymmetryError, NonConvergenceError, ValidationError
 from qcomb.estimation import (
     FitProblem,
-    FitResult,
     FitSettings,
-    extract_bandwidth_report,
     fit_hom_trace,
     simulate_counts,
 )
@@ -176,10 +174,25 @@ class TestFitProblemValidation:
 class TestFit:
     settings = FitSettings(starts=3, seed=0, xatol=1e-7, maxiter=2000)
 
-    @pytest.mark.parametrize("starts", [0, -3])
+    @pytest.mark.parametrize("starts", [0, -3, 2.5, "2"])
     def test_settings_need_a_start(self, starts):
         with pytest.raises(ValidationError, match="fit starts must be at least 1"):
             FitSettings(starts=starts)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "0"])
+    def test_settings_need_a_non_negative_integral_seed(self, seed):
+        with pytest.raises(ValidationError, match="fit seed must be non-negative and an integer"):
+            FitSettings(seed=seed)
+
+    @pytest.mark.parametrize("maxiter", [0, -5, 10.5])
+    def test_settings_need_an_iteration(self, maxiter):
+        with pytest.raises(ValidationError, match="fit maxiter must be at least 1 and an integer"):
+            FitSettings(maxiter=maxiter)
+
+    @pytest.mark.parametrize("xatol", [0.0, -1e-9, math.nan, math.inf])
+    def test_settings_need_a_finite_positive_tolerance(self, xatol):
+        with pytest.raises(ValidationError, match="xatol must be"):
+            FitSettings(xatol=xatol)
 
     @pytest.mark.parametrize(
         "grid_change", [{"center_minus": 2 * math.pi * 3e9}, {"points_minus": 512}]
@@ -390,42 +403,3 @@ class TestAmplitudeBaseline:
         assert self.AMPLITUDE[0] <= a <= self.AMPLITUDE[1]
         assert self.BASELINE[0] <= b <= self.BASELINE[1]
         assert np.sum((y - a * p - b) ** 2) == pytest.approx(np.sum((y - y.mean()) ** 2), rel=1e-9)
-
-
-class TestBandwidthReport:
-    @staticmethod
-    def result_with_bandwidth(bw, converged=True):
-        return FitResult(
-            parameters={
-                "bandwidth": bw,
-                "walkoff": 0.0,
-                "dispersion": 0.0,
-                "amplitude": 1.0,
-                "baseline": 0.0,
-            },
-            clipped={},
-            residual=0.0,
-            iterations=1,
-            converged=converged,
-        )
-
-    def test_reference_wavelength_bandwidth(self):
-        bw = 2 * math.pi * 21.82e12
-        report = extract_bandwidth_report(self.result_with_bandwidth(bw), 1530e-9)
-        assert report.wavelength_bandwidth == pytest.approx(170.9e-9, rel=0.01)
-        assert report.per_photon_angular_bandwidth == bw / 2
-
-    def test_zero_bandwidth(self):
-        report = extract_bandwidth_report(self.result_with_bandwidth(0.0), 1530e-9)
-        assert report.wavelength_bandwidth == 0.0
-
-    def test_linearity(self):
-        r1 = extract_bandwidth_report(self.result_with_bandwidth(1e14), 1530e-9)
-        r2 = extract_bandwidth_report(self.result_with_bandwidth(2e14), 1530e-9)
-        assert r2.wavelength_bandwidth == pytest.approx(2 * r1.wavelength_bandwidth)
-
-    def test_requires_convergence(self):
-        with pytest.raises(ValidationError):
-            extract_bandwidth_report(
-                self.result_with_bandwidth(1e14, converged=False), 1530e-9
-            )

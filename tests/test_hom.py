@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,13 +45,6 @@ def jittered(delays, fraction, seed=0):
     """The axis with each delay moved by up to ``fraction`` of its step."""
     step = delays[1] - delays[0]
     return delays + np.random.default_rng(seed).uniform(-fraction, fraction, delays.size) * step
-
-
-@pytest.fixture(autouse=True)
-def fresh_plan_cache():
-    hom._czt_plan.cache_clear()
-    yield
-    hom._czt_plan.cache_clear()
 
 
 @pytest.fixture
@@ -184,7 +178,7 @@ class TestHalfSpectrum:
             hom.delay_transform(omega, [0.0, 1.0])
 
 
-class TestPlanCache:
+class TestPlanBuilds:
     def test_calibration_builds_one_plan(
         self, plan_builds, resonant_pump, fast_phase_match, fast_cavity, fast_grid
     ):
@@ -199,16 +193,26 @@ class TestPlanCache:
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--points", "9"]) == 0
         assert len(plan_builds) == 1
 
-    def test_hit_and_miss_give_identical_traces(self, plan_builds):
+    def test_a_plan_lives_as_long_as_its_transform(self, monkeypatch):
+        plans = []
+        build = hom.CZT
+
+        def watched(**kwargs):
+            plan = build(**kwargs)
+            plans.append(weakref.ref(plan))
+            return plan
+
+        monkeypatch.setattr(hom, "CZT", watched)
         jsa = gaussian_state(points=1001)
         delays = np.linspace(-4 / SIGMA, 4 / SIGMA, 64)
-        miss = hom.coincidence_trace(jsa, delays).p_coincidence
-        hit = hom.coincidence_trace(jsa, delays).p_coincidence
-        assert len(plan_builds) == 1
-        hom.coincidence_trace(jsa, delays[:-1])  # evicts the plan
-        rebuilt = hom.coincidence_trace(jsa, delays).p_coincidence
-        assert len(plan_builds) == 3
-        assert np.array_equal(miss, hit) and np.array_equal(miss, rebuilt)
+        first = hom.coincidence_trace(jsa, delays).p_coincidence
+        second = hom.coincidence_trace(jsa, delays).p_coincidence
+        assert len(plans) == 2  # each trace builds its own transform
+        assert np.array_equal(first, second)
+        transform = hom.delay_transform(jsa.grid.omega_minus(), delays)
+        assert plans[2]() is not None
+        del transform
+        assert all(plan() is None for plan in plans)
 
     def test_fit_model_on_near_uniform_axis_is_the_direct_sum(self, plan_builds, monkeypatch):
         problem, theta = small_problem_parts()
@@ -228,7 +232,6 @@ class TestPlanCache:
             return p
 
         monkeypatch.setattr(hom, "coincidence_probability", recording)
-        hom._czt_plan.cache_clear()
         plan_builds.clear()
         result = estimation.fit_hom_trace(problem, FitSettings(starts=1), theta)
         assert len(plan_builds) == 1
@@ -305,6 +308,17 @@ class TestTraceBasics:
             hom.coincidence_trace(jsa, delays)
         with pytest.raises(ValidationError, match="at least 2 delays"):
             hom.delay_transform(jsa.grid.omega_minus(), delays)
+
+    @pytest.mark.parametrize("transform_points", [11, 41])
+    def test_transform_and_axis_of_other_lengths_rejected(self, transform_points):
+        jsa = gaussian_state()
+        transform = hom.delay_transform(
+            jsa.grid.omega_minus(), np.linspace(-4 / SIGMA, 4 / SIGMA, transform_points)
+        )
+        delays = np.linspace(-4 / SIGMA, 4 / SIGMA, 21)
+        message = f"gives {transform_points} delays, the axis has 21"
+        with pytest.raises(ValidationError, match=message):
+            hom.kernel_trace(biphoton.exchange_kernel(jsa), transform, delays)
 
     @pytest.mark.parametrize(
         "delays",
