@@ -257,14 +257,23 @@ def exchange_kernel_model(
     and at a, b = (w_p +- w)/2 both Airy phases carry the same chirp
     dispersion w^2/4 on top of their linear parts, so with A the envelope
     K(w) = A(w)^2 exp(i walkoff w) T_s(a) T_i(b) conj(T_s(b) T_i(a)) dw / |C|^2.
-    The chirp is centred on the pump's half-frequency, so detuning the pump
-    by d only multiplies both Airy phasors by exp(i pi d / (2 fsr)). Each
-    call evaluates K on the w >= 0 half, the norm from the same half, and
-    returns the full Hermitian kernel. The phasors, envelope and ramp of the
-    last (bandwidth, walkoff, dispersion) are kept, so a sweep over the
-    detuning computes them once. The preconditions of ``assemble_jsa_mono``
-    and ``exchange_kernel`` are checked here once, the spec fields, the
-    detuning and the norm at each call, with the same errors.
+    ``cavity.airy`` is t_r(e) = (1 - r) e / (1 - r E) with the round-trip
+    phasor E = e^2, and |e| = 1. So with D+ = (1 - r_s E_a)(1 - r_i E_b),
+    D- = (1 - r_s E_b)(1 - r_i E_a) and c = ((1 - r_s)(1 - r_i))^2,
+    T_s(a) T_i(b) conj(T_s(b) T_i(a)) = c / (D+ conj(D-)) and
+    |T_s(a) T_i(b)|^2 = c / |D+|^2, |T_s(b) T_i(a)|^2 = c / |D-|^2, with no
+    Airy evaluation (``_cavity_exchange``). The chirp is centred on the
+    pump's half-frequency, so detuning the pump by d only multiplies both E
+    by exp(i pi d / fsr). Each call evaluates K on the w = k dw >= 0 half,
+    the norm from the same half, and returns the full Hermitian kernel; the
+    ramp and the chirp are ``spectral.uniform_cis`` tables. Each factor
+    keeps its last value, keyed on the one parameter it depends on: the
+    squared envelope on the bandwidth, the ramp on the walk-off and the
+    chirped E on the dispersion. So a sweep over the detuning computes each
+    once, and a root find over the dispersion recomputes only the chirp.
+    The preconditions of ``assemble_jsa_mono`` and ``exchange_kernel`` are
+    checked here once, the spec fields, the detuning and the norm at each
+    call, with the same errors.
     """
     if pump.mode is not PumpMode.MONOCHROMATIC:
         raise ValidationError("exchange_kernel_model requires a monochromatic pump")
@@ -274,38 +283,53 @@ def exchange_kernel_model(
     if not grid.is_symmetric():
         raise GridSymmetryError("the exchange kernel requires a grid symmetric about w- = 0")
     w = grid.omega_minus()[grid.points_minus // 2 :]
-    dw = grid.step_minus
+    n, dw = w.size, grid.step_minus
     wp = pump.center_frequency
-    # Linear parts pi (x - offset) / fsr of the Airy phases at x = a and x = b.
-    line_a = _spectral.cis(np.pi * ((wp + w) / 2.0 - cav.resonance_offset) / cav.fsr)
-    line_b = _spectral.cis(np.pi * ((wp - w) / 2.0 - cav.resonance_offset) / cav.fsr)
+    # Round-trip phasors of the linear parts pi (x - offset) / fsr of the Airy phases at x = a, b.
+    line_a = _spectral.cis(np.pi * ((wp + w) / 2.0 - cav.resonance_offset) / cav.fsr) ** 2
+    line_b = _spectral.cis(np.pi * ((wp - w) / 2.0 - cav.resonance_offset) / cav.fsr) ** 2
     r_s, r_i = cav.reflectivity_signal, cav.reflectivity_idler
+    last = {}  # factor -> (the parameter it was computed at, its value)
 
-    @functools.lru_cache(maxsize=1)
-    def spec_factors(bandwidth, walkoff, dispersion):
-        spec = replace(pm, bandwidth=bandwidth, walkoff=walkoff, dispersion=dispersion)
-        chirp = _spectral.cis(spec.dispersion * w * w / 4.0)
-        weight = _spectral.phase_match_envelope(spec, w) ** 2
-        return line_a * chirp, line_b * chirp, weight, _spectral.cis(spec.walkoff * w)
+    def factor(name, parameter, evaluate):
+        if name not in last or last[name][0] != parameter:
+            last[name] = (parameter, evaluate())
+        return last[name][1]
+
+    def round_trips(dispersion):
+        chirp = _spectral.uniform_cis(dispersion * dw * dw / 2.0, n, power=2)
+        return line_a * chirp, line_b * chirp
 
     def kernel(bandwidth, walkoff, dispersion, detuning=0.0):
-        e_a, e_b, weight, ramp = spec_factors(bandwidth, walkoff, dispersion)
-        if detuning:  # so the fit and calibration pay nothing for it
-            if not math.isfinite(detuning):
-                raise ValidationError(f"pump detuning must be finite, got {detuning!r}")
-            shift = _spectral.cis(np.pi * detuning / (2.0 * cav.fsr))
-            e_a, e_b = e_a * shift, e_b * shift
-        p = _cavity.airy(r_s, e_a) * _cavity.airy(r_i, e_b)  # C(w) over its phase-match factor
-        q = _cavity.airy(r_s, e_b) * _cavity.airy(r_i, e_a)  # C(-w) likewise
-        both = p.real**2 + p.imag**2 + q.real**2 + q.imag**2
-        both[0] /= 2.0  # w = 0 is one sample, where p = q
+        spec = replace(pm, bandwidth=bandwidth, walkoff=walkoff, dispersion=dispersion)
+        weight = factor("envelope", spec.bandwidth, lambda: _spectral.phase_match_envelope(spec, w) ** 2)
+        ramp = factor("ramp", spec.walkoff, lambda: _spectral.uniform_cis(spec.walkoff * dw, n))
+        e_a, e_b = factor("chirp", spec.dispersion, lambda: round_trips(spec.dispersion))
+        if not math.isfinite(detuning):
+            raise ValidationError(f"pump detuning must be finite, got {detuning!r}")
+        shift = _spectral.cis(np.pi * detuning / cav.fsr)
+        cross, both = _cavity_exchange(r_s, r_i, e_a, e_b, shift)
+        both[0] /= 2.0  # w = 0 is one sample, where the two terms are equal
         n2 = float(np.sum(weight * both)) * dw
         if not 0.0 < n2 < math.inf:
             raise DegenerateStateError("zero or non-finite norm")
-        half = weight * (dw / n2) * ramp * p * np.conj(q)
+        half = weight * (dw / n2) * ramp * cross
         return np.concatenate((np.conj(half[:0:-1]), half))
 
     return kernel
+
+
+def _cavity_exchange(r_s: float, r_i: float, round_a, round_b, shift):
+    """(c / (D+ conj(D-)), c / |D+|^2 + c / |D-|^2) of the round-trip
+    phasors E_a, E_b, each times the unit ``shift``, as derived in
+    ``exchange_kernel_model``: the cavity products
+    T_s(a) T_i(b) conj(T_s(b) T_i(a)) and |T_s(a) T_i(b)|^2 + |T_s(b) T_i(a)|^2."""
+    d_plus = (1.0 - r_s * shift * round_a) * (1.0 - r_i * shift * round_b)
+    d_minus = (1.0 - r_s * shift * round_b) * (1.0 - r_i * shift * round_a)
+    p = d_plus.real**2 + d_plus.imag**2
+    q = d_minus.real**2 + d_minus.imag**2
+    g = ((1.0 - r_s) * (1.0 - r_i)) ** 2 / (p * q)
+    return g * np.conj(d_plus) * d_minus, g * (p + q)
 
 
 def exchange_overlap(jsa: Jsa) -> complex:

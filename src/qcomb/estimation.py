@@ -251,17 +251,26 @@ def _sum_of_squares(r):
 
 
 def _confidence_proxy(rss, u_opt, width, f0, n_data):
-    """Half-widths from a quadratic fit to the per-parameter residual profile."""
+    """Half-widths from a quadratic fit to the per-parameter residual profile.
+
+    The curvature is the second difference over three nodes du apart inside
+    the unit box, one of them ``u_opt`` with its residual ``f0``: centred on
+    it, or both other nodes on one side when it lies within du of a bound.
+    It is exact for any quadratic profile.
+    """
     dof = max(n_data - len(PARAMETER_NAMES), 1)
     s2 = max(f0 / dof, np.finfo(float).tiny)
     out = {}
     du = 1e-2
     for i, name in enumerate(PARAMETER_NAMES):
-        up = u_opt.copy()
-        um = u_opt.copy()
-        up[i] = min(u_opt[i] + du, 1.0)
-        um[i] = max(u_opt[i] - du, 0.0)
-        h = (rss(up) - 2.0 * f0 + rss(um)) / ((up[i] - um[i]) / 2.0) ** 2
+        first = 0 if u_opt[i] < du else -2 if u_opt[i] > 1.0 - du else -1
+        nodes, f = [], []
+        for k in range(first, first + 3):
+            u = u_opt.copy()
+            u[i] += k * du
+            nodes.append(u[i])
+            f.append(f0 if k == 0 else rss(u))
+        h = (f[2] - 2.0 * f[1] + f[0]) / ((nodes[2] - nodes[0]) / 2.0) ** 2
         if h <= 0:
             out[name] = math.inf
         else:

@@ -118,6 +118,35 @@ def cis(phase) -> np.ndarray:
     return out
 
 
+def uniform_cis(step: float, n: int, power: int = 1) -> np.ndarray:
+    """exp(i step k**power) for k = 0 .. n - 1 and power 1 or 2, built by
+    broadcasting short ``cis`` tables instead of n cosines and sines.
+
+    With s = ceil(sqrt(n)) and k = s h + l, 0 <= l < s, power 1 is the outer
+    product exp(i step s h) exp(i step l) of two tables of about sqrt(n)
+    entries. Power 2 is exp(i step s^2 h^2) exp(i step l^2) exp(2i step s h l),
+    whose cross term is split once more as l = t g + j with t = ceil(sqrt(s)).
+    Every integer multiplying ``step`` is exact, so each entry is a product
+    of at most four phasors, each of one rounding of a part of the phase
+    step k**power. Where the rounding of that phase dominates, from a few
+    radians up, its error is about that of ``cis(step * k**power)``;
+    below, it is within two units of roundoff of 1.
+    """
+    s = math.isqrt(n - 1) + 1
+    h = np.arange(-(-n // s))[:, None]
+    l = np.arange(s)
+    if power == 1:
+        table = cis(step * (s * h)) * cis(step * l)
+    else:
+        t = math.isqrt(s - 1) + 1
+        g = np.arange(-(-s // t))
+        # cross[h, g, j] = exp(2i step s h (t g + j)), with exp(i step s^2 h^2) folded in
+        outer = cis(step * (s * h) ** 2) * cis(step * (2 * s * t * h * g))
+        cross = outer[:, :, None] * cis(step * (2 * s * h[:, :, None] * np.arange(t)))
+        table = cross.reshape(h.size, -1)[:, :s] * cis(step * (l * l))
+    return table.ravel()[:n]
+
+
 def phase_match_envelope(spec: PhaseMatchSpec, omega_minus):
     """Real phase-matching amplitude, even in the difference frequency,
     with unit peak and intensity FWHM ``spec.bandwidth``."""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qcomb import biphoton, cli, spectral
+from qcomb import biphoton, cavity, cli, spectral
 from qcomb.biphoton import SpectralGrid
 from qcomb.cavity import CavitySpec, PumpClassLabel
 from qcomb.errors import (
@@ -391,6 +391,23 @@ class TestExchangeKernelModel:
                 ref = biphoton.exchange_kernel(biphoton.apply_delay(jsa, flip))
                 got = kernel(pm.bandwidth, pm.walkoff + flip, kappa2, detuning=d)
                 assert self.relative_error(got, ref) < 1e-10, (kappa2, d)
+
+    @pytest.mark.parametrize("r_s, r_i", list(itertools.product([0.0, 0.24, 0.27, 0.9], repeat=2)))
+    def test_closed_form_cavity_products_match_airy(self, r_s, r_i):
+        rng = np.random.default_rng([int(100 * r_s), int(100 * r_i)])
+        e_a, e_b = spectral.cis(rng.uniform(-4e4, 4e4, (2, 2000)))  # Airy phasors at a and b
+        for detuning_phase in (0.0, *rng.uniform(-math.pi, math.pi, 3)):
+            # A detuning moves each Airy phase by half of its round-trip phase.
+            a, b = e_a * spectral.cis(detuning_phase / 2.0), e_b * spectral.cis(detuning_phase / 2.0)
+            p = cavity.airy(r_s, a) * cavity.airy(r_i, b)
+            q = cavity.airy(r_s, b) * cavity.airy(r_i, a)
+            cross, both = biphoton._cavity_exchange(
+                r_s, r_i, e_a**2, e_b**2, spectral.cis(detuning_phase)
+            )
+            ref = p * np.conj(q)
+            assert np.max(np.abs(cross - ref) / np.abs(ref)) < 1e-12
+            ref = np.abs(p) ** 2 + np.abs(q) ** 2
+            assert np.max(np.abs(both - ref) / ref) < 1e-12
 
     def test_rejects_what_assembly_rejects(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
         model = biphoton.exchange_kernel_model

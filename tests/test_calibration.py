@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qcomb import biphoton, calibration, hom
+from qcomb import biphoton, calibration, hom, spectral
 from qcomb.errors import ValidationError
 from conftest import FSR
 from test_biphoton import forbid_states, record_kernel_calls
@@ -42,6 +42,24 @@ def test_each_dispersion_evaluated_once(
     assert len(set(seen)) == len(seen)
     flipped = (fast_phase_match.bandwidth, fast_phase_match.walkoff + math.pi / FSR)
     assert all(c[:2] == flipped and c[3] == 0.0 for c in calls)
+
+
+def test_only_the_chirp_follows_the_dispersion(
+    monkeypatch, resonant_pump, fast_phase_match, fast_cavity, fast_grid
+):
+    envelopes, powers = [], []
+    envelope, table = spectral.phase_match_envelope, spectral.uniform_cis
+    monkeypatch.setattr(
+        spectral, "phase_match_envelope", lambda *a: envelopes.append(a) or envelope(*a)
+    )
+    monkeypatch.setattr(
+        spectral, "uniform_cis", lambda step, n, power=1: powers.append(power) or table(step, n, power)
+    )
+    models, calls = record_kernel_calls(monkeypatch)
+    calibrate(resonant_pump, fast_phase_match, fast_cavity, fast_grid, 0.4)
+    assert len(envelopes) == 1
+    assert powers.count(1) == 1  # the walk-off ramp
+    assert powers.count(2) == len(calls) > 2  # one chirp per dispersion
 
 
 def test_matches_root_of_assembled_state_objective(

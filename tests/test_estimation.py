@@ -403,3 +403,26 @@ class TestAmplitudeBaseline:
         assert self.AMPLITUDE[0] <= a <= self.AMPLITUDE[1]
         assert self.BASELINE[0] <= b <= self.BASELINE[1]
         assert np.sum((y - a * p - b) ** 2) == pytest.approx(np.sum((y - y.mean()) ** 2), rel=1e-9)
+
+
+class TestConfidenceProxy:
+    """Half-widths of a quadratic residual profile, against its closed form."""
+
+    G, H, F0, N_DATA = 50.0, 4e3, 100.0, 100
+
+    @pytest.mark.parametrize("u_dispersion", [0.0, 0.004, 0.5, 0.996, 1.0])
+    def test_quadratic_profile_at_and_near_a_bound(self, u_dispersion):
+        # f = f0 + g (u_2 - u0_2) + h |u - u0|^2 / 2: curvature h along every
+        # parameter, sloped along the dispersion as at a bound the fit ends on.
+        u0 = np.array([0.5, 0.5, u_dispersion, 0.5, 0.5])
+        width = np.arange(1.0, 6.0)
+
+        def rss(u):
+            return self.F0 + self.G * (u[2] - u0[2]) + 0.5 * self.H * float(np.sum((u - u0) ** 2))
+
+        got = estimation._confidence_proxy(rss, u0, width, self.F0, self.N_DATA)
+        s2 = self.F0 / (self.N_DATA - len(estimation.PARAMETER_NAMES))
+        half_width = math.sqrt(2.0 * s2 / self.H)
+        assert half_width == pytest.approx(0.0229, abs=5e-5)
+        expected = dict(zip(estimation.PARAMETER_NAMES, half_width * width))
+        assert got == pytest.approx(expected, rel=1e-6)

@@ -13,9 +13,11 @@ from qcomb.spectral import (
     PhaseMatchSpec,
     PumpMode,
     PumpSpec,
+    cis,
     eval_filter,
     eval_phase_match,
     eval_pump,
+    uniform_cis,
 )
 
 BW = 2.0 * math.pi * 1e12
@@ -153,3 +155,25 @@ class TestFilter:
     def test_validation(self):
         with pytest.raises(ValidationError):
             FilterSpec(center=1e15, bandwidth=-BW)
+
+
+class TestUniformCis:
+    """The broadcast phasor tables against exp(i step k**power) in long double."""
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 5003, 8193, 32769])
+    def test_error_within_twice_that_of_cis(self, n, power):
+        rng = np.random.default_rng([n, power])
+        k = np.arange(n)
+        exact_k = np.arange(n, dtype=np.longdouble) ** power
+        for end_phase in 10.0 ** np.arange(-3, 4):
+            step = end_phase * rng.uniform(0.5, 1.0) / (n - 1) ** power
+            phase = np.longdouble(step) * exact_k
+            exact = np.cos(phase) + 1j * np.sin(phase)
+            got = uniform_cis(step, n, power)
+            assert got.shape == (n,)
+            err = float(np.max(np.abs(got - exact)))
+            err_cis = float(np.max(np.abs(cis(step * k.astype(float) ** power) - exact)))
+            # Below a few radians cis is within half a unit of roundoff of 1,
+            # which no product of phasors can match; there two units bound it.
+            assert err <= 2.0 * max(err_cis, np.finfo(float).eps), (end_phase, err, err_cis)
