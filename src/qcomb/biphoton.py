@@ -32,6 +32,9 @@ from .spectral import FilterSpec, PhaseMatchSpec, PumpMode, PumpSpec
 SYMMETRY_THRESHOLD = 0.9
 #: Pump-tuning tolerance of ``symmetry_report``, in free spectral ranges.
 PUMP_TOLERANCE_FSR = 1 / 8
+#: Most samples a grid or a ``--points`` axis may hold, 256 times the README
+#: chip grid: one complex array of 2^24 samples is 268 MB, and a state is several.
+MAX_POINTS = 2**24 + 1
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,8 @@ class SpectralGrid:
             raise ValidationError("2D grid needs span_plus, points_plus and center_plus")
         if self.span_plus is not None and (self.span_plus <= 0 or self.points_plus < 2):
             raise ValidationError("grid needs span_plus > 0 and points_plus >= 2")
+        if int(self.points_minus) * int(self.points_plus or 1) > MAX_POINTS:
+            raise ValidationError(f"grid holds more than MAX_POINTS = {MAX_POINTS} samples")
 
     @property
     def is_two_dimensional(self) -> bool:
@@ -124,7 +129,7 @@ class Jsa:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    exchange_overlap: complex
+    exchange_overlap: float
     label: str  # "symmetric" | "anti_symmetric" | "mixed"
     pump_class: _cavity.PumpClass
 
@@ -231,9 +236,11 @@ def apply_filter(jsa: Jsa, filt: FilterSpec) -> Jsa:
 
 
 def exchange_kernel(jsa: Jsa) -> np.ndarray:
-    """C(w-) C*(-w-) dw- / |C|^2 of a 1D state on a grid symmetric about w- = 0.
+    """Half kernel h of a 1D state on a grid symmetric about w- = 0.
 
-    Its sum is the exchange overlap; its delay transform gives the HOM trace.
+    K(w-) = C(w-) C*(-w-) dw- / |C|^2 is Hermitian, so h holds it on w- >= 0
+    only, with h[0] = K(0) / 2. ``kernel_overlap(h)`` is the exchange
+    overlap; ``hom.delay_transform`` maps h to the HOM trace.
     """
     if jsa.grid.is_two_dimensional:
         raise ValidationError("the exchange kernel is defined for 1D states")
@@ -242,8 +249,10 @@ def exchange_kernel(jsa: Jsa) -> np.ndarray:
     n2 = jsa.norm_squared
     if not 0.0 < n2 < math.inf:
         raise DegenerateStateError("zero or non-finite norm")
-    c = jsa.amplitudes
-    return c * np.conj(c[::-1]) * (jsa.grid.step_minus / n2)
+    c, centre = jsa.amplitudes, jsa.grid.points_minus // 2
+    h = c[centre:] * np.conj(c[centre::-1]) * (jsa.grid.step_minus / n2)
+    h[0] /= 2.0
+    return h
 
 
 def exchange_kernel_model(
@@ -264,9 +273,10 @@ def exchange_kernel_model(
     |T_s(a) T_i(b)|^2 = c / |D+|^2, |T_s(b) T_i(a)|^2 = c / |D-|^2, with no
     Airy evaluation (``_cavity_exchange``). The chirp is centred on the
     pump's half-frequency, so detuning the pump by d only multiplies both E
-    by exp(i pi d / fsr). Each call evaluates K on the w = k dw >= 0 half,
-    the norm from the same half, and returns the full Hermitian kernel; the
-    ramp and the chirp are ``spectral.uniform_cis`` tables. Each factor
+    by exp(i pi d / fsr). Each call evaluates the half kernel h on w = k dw
+    >= 0 and the norm from the same half, both through a squared envelope
+    whose w = 0 sample is halved; the ramp and the chirp are
+    ``spectral.uniform_cis`` tables. Each factor
     keeps its last value, keyed on the one parameter it depends on: the
     squared envelope on the bandwidth, the ramp on the walk-off and the
     chirped E on the dispersion. So a sweep over the detuning computes each
@@ -296,25 +306,28 @@ def exchange_kernel_model(
             last[name] = (parameter, evaluate())
         return last[name][1]
 
+    def envelope(spec):  # h[0] = K(0) / 2, and w = 0 counts once in the norm
+        weight = _spectral.phase_match_envelope(spec, w) ** 2
+        weight[0] /= 2.0
+        return weight
+
     def round_trips(dispersion):
         chirp = _spectral.uniform_cis(dispersion * dw * dw / 2.0, n, power=2)
         return line_a * chirp, line_b * chirp
 
     def kernel(bandwidth, walkoff, dispersion, detuning=0.0):
         spec = replace(pm, bandwidth=bandwidth, walkoff=walkoff, dispersion=dispersion)
-        weight = factor("envelope", spec.bandwidth, lambda: _spectral.phase_match_envelope(spec, w) ** 2)
+        weight = factor("envelope", spec.bandwidth, lambda: envelope(spec))
         ramp = factor("ramp", spec.walkoff, lambda: _spectral.uniform_cis(spec.walkoff * dw, n))
         e_a, e_b = factor("chirp", spec.dispersion, lambda: round_trips(spec.dispersion))
         if not math.isfinite(detuning):
             raise ValidationError(f"pump detuning must be finite, got {detuning!r}")
         shift = _spectral.cis(np.pi * detuning / cav.fsr)
         cross, both = _cavity_exchange(r_s, r_i, e_a, e_b, shift)
-        both[0] /= 2.0  # w = 0 is one sample, where the two terms are equal
         n2 = float(np.sum(weight * both)) * dw
         if not 0.0 < n2 < math.inf:
             raise DegenerateStateError("zero or non-finite norm")
-        half = weight * (dw / n2) * ramp * cross
-        return np.concatenate((np.conj(half[:0:-1]), half))
+        return weight * (dw / n2) * ramp * cross
 
     return kernel
 
@@ -332,12 +345,17 @@ def _cavity_exchange(r_s: float, r_i: float, round_a, round_b, shift):
     return g * np.conj(d_plus) * d_minus, g * (p + q)
 
 
-def exchange_overlap(jsa: Jsa) -> complex:
+def kernel_overlap(h: np.ndarray) -> float:
+    """Sum of the Hermitian kernel of the half kernel h: 2 Re sum h, real."""
+    return 2.0 * float(np.sum(h.real))
+
+
+def exchange_overlap(jsa: Jsa) -> float:
     """Normalized overlap between the state and its particle-swapped mirror.
 
     +1 for exchange-symmetric states, -1 for anti-symmetric ones.
     """
-    return complex(np.sum(exchange_kernel(jsa)))
+    return kernel_overlap(exchange_kernel(jsa))
 
 
 def jsi(jsa: Jsa) -> np.ndarray:
@@ -362,12 +380,7 @@ def count_comb_peaks(jsi_1d: np.ndarray, threshold_fraction: float) -> int:
 
 def symmetry_report(jsa: Jsa, cav: CavitySpec) -> SymmetryReport:
     """Classify a 1D state by exchange overlap and pump tuning."""
-    s = exchange_overlap(jsa)
-    if s.real >= SYMMETRY_THRESHOLD:
-        label = "symmetric"
-    elif s.real <= -SYMMETRY_THRESHOLD:
-        label = "anti_symmetric"
-    else:
-        label = "mixed"
+    s, t = exchange_overlap(jsa), SYMMETRY_THRESHOLD
+    label = "symmetric" if s >= t else "anti_symmetric" if s <= -t else "mixed"
     pc = _cavity.classify_pump(cav, jsa.pump_frequency, cav.fsr * PUMP_TOLERANCE_FSR)
     return SymmetryReport(exchange_overlap=s, label=label, pump_class=pc)

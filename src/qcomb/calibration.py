@@ -68,7 +68,7 @@ def calibrate_dispersion(
     """
     model = biphoton.exchange_kernel_model(pump, phase_match, cavity, grid)
     delays = np.linspace(-DELAY_SPAN, DELAY_SPAN, DELAY_POINTS)
-    transform = hom.delay_transform(grid.omega_minus(), delays)
+    transform = hom.delay_transform(grid, delays)
     # The flip delay folds into the walk-off. The model and the transform go
     # in through args, not a closure: brentq's NaN guard holds its objective
     # in a reference cycle, which would keep their arrays alive until the

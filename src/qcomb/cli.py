@@ -50,8 +50,8 @@ class _Run:
         if self.points is not None:
             if command == "fit":
                 raise ValidationError("fit takes no --points")
-            if self.points < 2:
-                raise ValidationError("--points must be at least 2")
+            if not 2 <= self.points <= biphoton.MAX_POINTS:
+                raise ValidationError(f"--points must be at least 2 and at most {biphoton.MAX_POINTS}")
             if command == "sweep" and self.points < 3:
                 # Two detunings, 0 and 2 FSR, leave no sample near one FSR.
                 raise ValidationError("sweep needs --points of at least 3")
@@ -79,7 +79,7 @@ class _Run:
     def write_json(self, name, payload):
         payload = dict(payload)
         payload["provenance"] = {"version": __version__, "config_sha256": self.sha}
-        self._write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self._write(name, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _assemble(config: RunConfig):
@@ -108,8 +108,8 @@ def _symmetry_payload(jsa, cavity):
     report = biphoton.symmetry_report(jsa, cavity)
     return {
         "symmetry_label": report.label,
-        "exchange_overlap_re": report.exchange_overlap.real,
-        "exchange_overlap_im": report.exchange_overlap.imag,
+        "exchange_overlap_re": report.exchange_overlap,
+        "exchange_overlap_im": 0.0,  # the overlap of a Hermitian kernel is real
         "pump_class": {
             "label": report.pump_class.label.value,
             "nearest_resonant_detuning_rad_per_s": report.pump_class.nearest_resonant_detuning,
@@ -182,14 +182,13 @@ def _cmd_sweep(run: _Run) -> int:
     delays = _delay_axis(config, 201)
     pm = config.phase_match
     model = biphoton.exchange_kernel_model(config.pump, pm, config.cavity, config.grid)
-    transform = hom.delay_transform(config.grid.omega_minus(), delays)
+    transform = hom.delay_transform(config.grid, delays)
     rows = []
     for d in detunings:
         # The flip delay folds into the walk-off, as in the fit.
-        kernel = model(pm.bandwidth, pm.walkoff + flip, pm.dispersion, detuning=d)
-        s = complex(np.sum(kernel))  # the exchange overlap
-        trace = hom.kernel_trace(kernel, transform, delays)
-        rows.append((d, s.real, hom.contrast(trace), trace.extremum_kind))
+        h = model(pm.bandwidth, pm.walkoff + flip, pm.dispersion, detuning=d)
+        trace = hom.kernel_trace(h, transform, delays)
+        rows.append((d, biphoton.kernel_overlap(h), hom.contrast(trace), trace.extremum_kind))
     near_one_fsr = int(np.argmin(np.abs(detunings - fsr)))
     if not (rows[0][1] > 0.0 and rows[near_one_fsr][1] < 0.0):
         raise ValidationError(
@@ -264,7 +263,9 @@ def _cmd_fit(run: _Run) -> int:
     result = estimation.fit_hom_trace(
         problem, estimation.FitSettings(seed=run.seed)
     )
-    run.write_json("fit_report.json", asdict(result))
+    report = asdict(result)  # a half-width with no curvature is inf, written as null
+    report["confidence"] = {n: v if np.isfinite(v) else None for n, v in result.confidence.items()}
+    run.write_json("fit_report.json", report)
     return 0
 
 

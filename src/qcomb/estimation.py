@@ -77,6 +77,8 @@ class FitProblem:
             raise ValidationError(
                 "need at least twice as many data points as free parameters"
             )
+        if np.all(counts == counts[0]):
+            raise ValidationError("counts are all equal: constant data fix no parameter")
         if set(self.bounds) != set(PARAMETER_NAMES):
             raise ValidationError(f"bounds must cover exactly {PARAMETER_NAMES}")
         for name, (lo, hi) in self.bounds.items():
@@ -132,7 +134,7 @@ def fit_hom_trace(
     seeded uniform draws. The best residual across starts is returned, ties
     breaking by start index, and ``converged`` is that start's own flag.
     """
-    transform = hom.delay_transform(problem.grid.omega_minus(), problem.delays)
+    transform = hom.delay_transform(problem.grid, problem.delays)
     kernel = _biphoton.exchange_kernel_model(
         problem.pump, problem.phase_match_template, problem.cavity, problem.grid
     )

@@ -2,7 +2,9 @@
 
 The coincidence probability against the interferometer delay is
 P_c(tau) = 1/2 - 1/2 * Re[ sum C(w) C*(-w) exp(-i w tau) step ] / norm^2,
-so symmetric states dip to 0 and anti-symmetric states peak at 1.
+so symmetric states dip to 0 and anti-symmetric states peak at 1. The sum
+is taken over the w >= 0 half, on the half kernel h of
+``biphoton.exchange_kernel``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.signal import CZT
 
 from . import biphoton as _biphoton
-from .biphoton import Jsa
+from .biphoton import Jsa, SpectralGrid
 from .errors import GridSymmetryError, ResolutionError, UndefinedVisibilityError, ValidationError
 
 DIP = "dip"
@@ -41,53 +43,36 @@ class HomTrace:
 TAYLOR_TOL = 1e-17
 
 
-def delay_transform(omega, delays):
-    """Reusable map kernel -> sum_n kernel_n exp(-i omega_n tau_k), real.
+def delay_transform(grid: SpectralGrid, delays):
+    """Reusable map h -> 2 Re sum_n h_n exp(-i omega_n tau_k), a real array.
 
-    Hermitian precondition: omega is an odd axis of at least 3 points
-    symmetric about 0 (``GridSymmetryError`` otherwise), and the kernel
-    satisfies kernel[::-1] == conj(kernel), as every exchange kernel does.
-    The sum is then 2 Re sum_{n >= c} k_n exp(-i omega_n tau) over the
-    upper half, c the center index, k = kernel[c:] and k_c = kernel_c / 2;
-    only that half is transformed, and the result is a real array. The
-    delays must form a 1D axis of at least 2 finite values. Two paths:
+    h is a half kernel (``biphoton.exchange_kernel``) on the w- >= 0 half
+    omega = ``grid.omega_minus()[c:]``, c the centre index, so the map sums
+    the Hermitian kernel over the whole grid. ``GridSymmetryError`` unless
+    ``grid.is_symmetric()``; the delays must form a 1D axis of at least 2
+    finite values. Two paths:
 
     - an axis whose offsets delta from ref = linspace(tau_0, tau_last, m)
       satisfy x = max|omega| max|delta| <= 1 gets the Taylor series
-      sum_p (-i delta)^p / p! T_ref(k omega^p) on the chirp-z plan of
+      sum_p (-i delta)^p / p! T_ref(h omega^p) on the chirp-z plan of
       ref, with the fewest terms P for which x^P / P! <= ``TAYLOR_TOL``.
-      That bounds the truncation error for any kernel with sum |kernel|
-      <= 1, as every exchange kernel is (Cauchy-Schwarz). An axis that is
+      That bounds the truncation error for any h with 2 sum |h| <= 1, as
+      every exchange kernel has (Cauchy-Schwarz). An axis that is
       its own linspace takes one term, one plan apply;
     - any other axis gets the direct sum.
 
     The plan lives as long as the returned map, so a caller that transforms
     onto one axis again and again builds the map once and keeps it.
     """
-    omega = np.asarray(omega, dtype=float)
-    n = omega.size
-    if (
-        omega.ndim != 1
-        or n < 3
-        or n % 2 == 0
-        or np.max(np.abs(omega + omega[::-1])) > 1e-12 * np.max(np.abs(omega))
-    ):
-        raise GridSymmetryError(
-            "the delay transform requires a grid symmetric about w- = 0 with an odd point count"
-        )
+    if not grid.is_symmetric():
+        message = "the delay transform requires a grid symmetric about w- = 0 with an odd point count"
+        raise GridSymmetryError(message)
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 2:
         raise ValidationError("delay_transform needs a 1D axis of at least 2 delays")
     if not np.all(np.isfinite(delays)):
         raise ValidationError("delay_transform needs finite delays")
-    c = n // 2
-    omega = omega[c:]
-
-    def upper_half(kernel):
-        k = kernel[c:].copy()
-        k[0] /= 2.0
-        return k
-
+    omega = grid.omega_minus()[grid.points_minus // 2 :]
     m = delays.size
     ref = np.linspace(delays[0], delays[-1], m)
     offset = delays - ref
@@ -95,9 +80,8 @@ def delay_transform(omega, delays):
     x = scale * float(np.max(np.abs(offset)))
     if x > 1.0:
 
-        def direct(kernel):
-            k = upper_half(kernel)
-            return 2.0 * np.array([np.real(np.sum(k * np.exp(-1j * omega * t))) for t in delays])
+        def direct(h):
+            return 2.0 * np.array([np.real(np.sum(h * np.exp(-1j * omega * t))) for t in delays])
 
         return direct
     dw = omega[1] - omega[0]
@@ -112,22 +96,21 @@ def delay_transform(omega, delays):
     u = omega / scale
     ratio = -1j * scale * offset
 
-    def chirp_z(kernel):
-        kernel = upper_half(kernel)
-        out = plan(kernel)
+    def chirp_z(h):
+        out = plan(h)
         coef = np.ones(m, dtype=complex)
         for p in range(1, terms):
-            kernel = kernel * u
+            h = h * u
             coef = coef * ratio / p
-            out += coef * plan(kernel)
+            out += coef * plan(h)
         return 2.0 * np.real(out * post)
 
     return chirp_z
 
 
-def coincidence_probability(kernel, transform):
-    """P_c = 1/2 - 1/2 Re T(kernel) for a ``delay_transform`` T."""
-    return 0.5 - 0.5 * np.real(transform(kernel))
+def coincidence_probability(h, transform):
+    """P_c = 1/2 - 1/2 T(h) for a half kernel h and a ``delay_transform`` T."""
+    return 0.5 - 0.5 * transform(h)
 
 
 def _extremum_index(p, kind):
@@ -187,18 +170,18 @@ def _baseline_window(delays, p, i_ext, kind, level):
 
 def coincidence_trace(jsa: Jsa, delays) -> HomTrace:
     """Compute the coincidence trace of a 1D state over the given delays."""
-    kernel = _biphoton.exchange_kernel(jsa)
-    return kernel_trace(kernel, delay_transform(jsa.grid.omega_minus(), delays), delays)
+    h = _biphoton.exchange_kernel(jsa)
+    return kernel_trace(h, delay_transform(jsa.grid, delays), delays)
 
 
-def kernel_trace(kernel, transform, delays) -> HomTrace:
-    """The coincidence trace of an exchange kernel under ``transform``.
+def kernel_trace(h, transform, delays) -> HomTrace:
+    """The coincidence trace of a half kernel h under ``transform``.
 
     ``transform`` is a ``delay_transform`` map built on the same delays; a
     map of another length raises ``ValidationError``.
     """
     delays = np.asarray(delays, dtype=float)
-    p = coincidence_probability(kernel, transform)
+    p = coincidence_probability(h, transform)
     if p.shape != delays.shape:
         raise ValidationError(f"the transform gives {p.size} delays, the axis has {delays.size}")
     baseline, extremum, kind = _annotate(delays, p)

@@ -70,7 +70,7 @@ def test_criterion_1_symmetry_flip():
         )
         jsa = biphoton.assemble_jsa_mono(pump, pm, cav, grid)
         delayed = biphoton.apply_delay(jsa, math.pi / fsr)
-        s = biphoton.exchange_overlap(delayed).real
+        s = biphoton.exchange_overlap(delayed)
         trace = hom.coincidence_trace(delayed, delays)
         v = hom.visibility(trace)
         elapsed[anti] = time.perf_counter() - t0

@@ -62,6 +62,22 @@ class TestSpectralGrid:
         with pytest.raises(ValidationError):
             SpectralGrid(span_minus=1.0, points_minus=1)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            dict(points_minus=biphoton.MAX_POINTS + 2),
+            dict(points_minus=4097, points_plus=4097),
+            # 2^32 x 2^32 wraps to 0 in int64 arithmetic.
+            dict(points_minus=np.int64(2**32), points_plus=np.int64(2**32)),
+        ],
+        ids=["1d", "2d", "int64_product"],
+    )
+    def test_oversized_grid_rejected(self, points):
+        if "points_plus" in points:
+            points = dict(points, span_plus=4.0, center_plus=100.0)
+        with pytest.raises(ValidationError, match="more than MAX_POINTS"):
+            SpectralGrid(span_minus=10.0, **points)
+
     @pytest.mark.parametrize("field", ["points_minus", "points_plus"])
     @pytest.mark.parametrize("value", [5.0, 2.5])
     def test_non_integer_points_rejected(self, field, value):
@@ -180,8 +196,7 @@ class TestDelayAndSymmetry:
         jsa = biphoton.assemble_jsa_mono(
             resonant_pump, fast_phase_match, fast_cavity, fast_grid
         )
-        s = biphoton.exchange_overlap(jsa)
-        assert s.real == pytest.approx(1.0, abs=1e-9)
+        assert biphoton.exchange_overlap(jsa) == pytest.approx(1.0, abs=1e-9)
 
     def test_flip_delay_makes_anti_resonant_state_anti_symmetric(
         self, anti_resonant_pump, fast_phase_match
@@ -192,7 +207,7 @@ class TestDelayAndSymmetry:
             anti_resonant_pump, fast_phase_match, cav, grid
         )
         delayed = biphoton.apply_delay(jsa, math.pi / FSR)
-        assert biphoton.exchange_overlap(delayed).real < -0.9
+        assert biphoton.exchange_overlap(delayed) < -0.9
 
     def test_overlap_bound(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
         jsa = biphoton.assemble_jsa_mono(
@@ -201,6 +216,31 @@ class TestDelayAndSymmetry:
         for tau in (0.0, 1e-12, 7.7e-12):
             s = biphoton.exchange_overlap(biphoton.apply_delay(jsa, tau))
             assert abs(s) <= 1.0 + 1e-9
+
+    def test_half_kernel_is_the_upper_half_with_its_centre_halved(
+        self, resonant_pump, fast_cavity, fast_grid
+    ):
+        pm = PhaseMatchSpec(
+            degeneracy_frequency=resonant_pump.center_frequency / 2, bandwidth=4 * FSR, walkoff=3e-12
+        )
+        jsa = biphoton.assemble_jsa_mono(resonant_pump, pm, fast_cavity, fast_grid)
+        c = jsa.amplitudes
+        full = c * np.conj(c[::-1]) * (fast_grid.step_minus / jsa.norm_squared)
+        expected = full[fast_grid.points_minus // 2 :].copy()
+        expected[0] /= 2.0
+        h = biphoton.exchange_kernel(jsa)
+        assert np.array_equal(h, expected)
+        s = biphoton.exchange_overlap(jsa)
+        assert type(s) is float
+        assert s == pytest.approx(np.sum(full).real, abs=1e-15)
+
+    def test_both_kernels_hold_the_half_grid(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
+        half = (fast_grid.points_minus // 2 + 1,)
+        jsa = biphoton.assemble_jsa_mono(resonant_pump, fast_phase_match, fast_cavity, fast_grid)
+        assert biphoton.exchange_kernel(jsa).shape == half
+        model = biphoton.exchange_kernel_model(resonant_pump, fast_phase_match, fast_cavity, fast_grid)
+        pm = fast_phase_match
+        assert model(pm.bandwidth, pm.walkoff, pm.dispersion).shape == half
 
     def test_asymmetric_grid_rejected(self, resonant_pump, fast_phase_match, fast_cavity):
         grid = SpectralGrid(span_minus=16 * FSR, points_minus=512)

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcomb import cli
+from qcomb import biphoton, cli, estimation, hom
 from qcomb.config import ROOT_FIELDS, SCHEMA, RunConfig, emit_config, parse_config
-from qcomb.errors import ConfigError, DataFormatError
+from qcomb.errors import ConfigError, DataFormatError, ValidationError
 from conftest import FSR
 
 FSR_GHZ = FSR / (2 * math.pi * 1e9)
@@ -450,6 +450,65 @@ class TestCli:
         bw_true = 4 * FSR
         assert report["parameters"]["bandwidth"] == pytest.approx(bw_true, rel=0.05)
 
+    def test_fit_refuses_constant_counts(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("tau_s,counts\n" + "".join(f"{i}e-13,0\n" for i in range(-6, 6)))
+        out = tmp_path / "out"
+        cfg = str(GOLDEN / "chip" / "config.json")
+        assert cli.main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 1
+        assert "counts are all equal" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_report_is_strict_json(self, tmp_path):
+        # With both reflectivities 0 the dispersion cancels from the kernel,
+        # so the residual has no curvature along it: its half-width is inf.
+        doc = small_config_doc()
+        doc["cavity"].update(reflectivity_signal=0.0, reflectivity_idler=0.0)
+        cfg = write_config(tmp_path, doc)
+        config = parse_config(json.dumps(doc))
+        jsa = biphoton.assemble_jsa_mono(config.pump, config.phase_match, config.cavity, config.grid)
+        delays = cli._delay_axis(config, 65)
+        counts = estimation.simulate_counts(hom.coincidence_trace(jsa, delays), 1e3, seed=0)
+        data = tmp_path / "data.csv"
+        rows = "".join(f"{t!r},{n}\n" for t, n in zip(delays.tolist(), counts.tolist()))
+        data.write_text("tau_s,counts\n" + rows)
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((out / "fit_report.json").read_text(), parse_constant=refuse)
+        assert report["confidence"]["dispersion"] is None
+        assert all(isinstance(v, float) for k, v in report["confidence"].items() if k != "dispersion")
+
+    @pytest.mark.parametrize("command", ["jsi", "hom", "sweep"])
+    def test_oversized_points_refused_before_any_allocation(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, small_config_doc())
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out), "--points", str(biphoton.MAX_POINTS + 1)]
+        with pytest.raises(ValidationError, match="at most"):
+            cli._Run(cli.build_parser().parse_args(argv))  # set-up, before any command runs
+        assert cli.main(argv) == 1
+        assert f"--points must be at least 2 and at most {biphoton.MAX_POINTS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_2d_jsi_grid_refused(self, tmp_path, capsys):
+        # 4097 points on each axis of a 2D grid: 4097^2 > MAX_POINTS samples.
+        out = tmp_path / "out"
+        cfg = str(GOLDEN / "broadband_2d" / "config.json")
+        with pytest.raises(ValidationError, match="more than MAX_POINTS"):
+            cli._cmd_jsi(cli._Run(cli.build_parser().parse_args(
+                ["jsi", "--config", cfg, "--out", str(out), "--points", "4097"]
+            )))
+        assert not out.exists()
+
+    def test_oversized_config_grid_refused(self):
+        doc = small_config_doc()
+        doc["grid"]["points_minus"] = biphoton.MAX_POINTS + 2
+        with pytest.raises(ValidationError, match="more than MAX_POINTS"):
+            parse_config(json.dumps(doc))
+
     def test_fit_rejects_filter(self, tmp_path, capsys):
         # The fit model has no filter, so a filtered trace would be fitted
         # as if unfiltered.
@@ -470,7 +529,8 @@ class TestCli:
         cfg = write_config(tmp_path, doc)
         data = tmp_path / "data.csv"
         taus = np.linspace(-1e-10, 1e-10, 33)
-        data.write_text("tau_s,counts\n" + "".join(f"{t:.6e},500\n" for t in taus))
+        # Not constant: constant counts are refused before the check under test.
+        data.write_text("tau_s,counts\n" + "".join(f"{t:.6e},{500 + k % 3}\n" for k, t in enumerate(taus)))
         out = tmp_path / "out"
         assert cli.main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 1
         assert "requires a grid symmetric about w- = 0" in capsys.readouterr().err
@@ -481,7 +541,8 @@ class TestCli:
         cfg = write_config(tmp_path, small_config_doc(seed=-1 if source == "config" else 0))
         data = tmp_path / "data.csv"
         taus = np.linspace(-1e-10, 1e-10, 33)
-        data.write_text("tau_s,counts\n" + "".join(f"{t:.6e},500\n" for t in taus))
+        # Not constant: constant counts are refused before the check under test.
+        data.write_text("tau_s,counts\n" + "".join(f"{t:.6e},{500 + k % 3}\n" for k, t in enumerate(taus)))
         out = tmp_path / "out"
         argv = ["fit", "--config", cfg, "--out", str(out), "--data", str(data)]
         if source == "flag":

@@ -160,6 +160,14 @@ class TestFitProblemValidation:
                 grid=problem.grid,
             )
 
+    @pytest.mark.parametrize("level", [0.0, 500.0])
+    def test_constant_counts_rejected(self, level):
+        # Constant data fix no parameter: any amplitude of a flat stretch of
+        # trace, or a baseline alone, fits them.
+        problem, _ = small_problem_parts()
+        with pytest.raises(ValidationError, match="counts are all equal"):
+            replace(problem, counts=np.full(problem.delays.size, level))
+
     @pytest.mark.parametrize("field", ["delays", "counts"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_data_rejected(self, field, value):

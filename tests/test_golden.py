@@ -28,8 +28,9 @@ COMMANDS = {
 }
 
 #: Absolute tolerance of JSON values that are rounding residue near 0: the
-#: imaginary overlap of a real-symmetric kernel, and the pump's distance to
-#: a resonance (pump frequencies near 1e13 rad/s round at ~1e-3 rad/s).
+#: imaginary overlap, recorded as the residue of a full-kernel sum and now
+#: written as exactly 0.0, and the pump's distance to a resonance (pump
+#: frequencies near 1e13 rad/s round at ~1e-3 rad/s).
 JSON_ATOL = {"exchange_overlap_im": 1e-12, "nearest_resonant_detuning_rad_per_s": 1.0}
 
 CASES = sorted(
@@ -86,3 +87,11 @@ def test_outputs_match_recorded_values(tmp_path, case, command):
             assert_cells_close(rows[:1], rows_e[:1])
             rows, rows_e = rows[1:], rows_e[1:]
         assert_cells_close(rows, rows_e)
+
+
+def test_exchange_overlap_is_written_real(tmp_path):
+    """The overlap of a Hermitian kernel is real: its imaginary part is
+    written as exactly 0.0, not as rounding residue."""
+    out = tmp_path / "out"
+    assert cli.main(["hom", "--config", str(GOLDEN / "chip" / "config.json"), "--out", str(out)]) == 0
+    assert '"exchange_overlap_im": 0.0,' in (out / "hom_report.json").read_text()

@@ -41,6 +41,16 @@ def direct_sum(kernel, omega, delays):
     return np.array([np.sum(kernel * np.exp(-1j * omega * t)) for t in delays])
 
 
+def full_kernel(h):
+    """The Hermitian kernel over the whole grid, rebuilt from its half h."""
+    return np.concatenate((np.conj(h[:0:-1]), [2.0 * h[0]], h[1:]))
+
+
+def full_grid_probability(h, grid, delays):
+    """P_c from the direct sum of the full kernel over every grid point."""
+    return 0.5 - 0.5 * np.real(direct_sum(full_kernel(h), grid.omega_minus(), delays))
+
+
 def jittered(delays, fraction, seed=0):
     """The axis with each delay moved by up to ``fraction`` of its step."""
     step = delays[1] - delays[0]
@@ -96,10 +106,7 @@ class TestGaussianOracle:
         jsa = gaussian_state(points=1001)
         delays = jittered(np.linspace(-4 / SIGMA, 4 / SIGMA, 64), 0.2)[::direction]
         p = hom.coincidence_trace(jsa, delays).p_coincidence
-        slow = hom.coincidence_probability(
-            biphoton.exchange_kernel(jsa),
-            lambda kernel: direct_sum(kernel, jsa.grid.omega_minus(), delays),
-        )
+        slow = full_grid_probability(biphoton.exchange_kernel(jsa), jsa.grid, delays)
         assert len(plan_builds) == 1
         assert np.max(np.abs(p - hom.gaussian_trace(SIGMA, delays))) < 1e-12
         assert np.max(np.abs(p - slow)) < 1e-12
@@ -114,10 +121,7 @@ class TestGaussianOracle:
         steps[0] = step
         delays = -4 / SIGMA + np.concatenate([[0.0], np.cumsum(steps)])
         p = hom.coincidence_trace(jsa, delays).p_coincidence
-        slow = hom.coincidence_probability(
-            biphoton.exchange_kernel(jsa),
-            lambda kernel: direct_sum(kernel, jsa.grid.omega_minus(), delays),
-        )
+        slow = full_grid_probability(biphoton.exchange_kernel(jsa), jsa.grid, delays)
         assert len(plan_builds) == 1
         assert np.max(np.abs(p - slow)) < 1e-11
 
@@ -133,10 +137,7 @@ def chip_state():
 
 def full_grid_trace(jsa, delays):
     """P_c from the direct sum over every grid point, both halves."""
-    return hom.coincidence_probability(
-        biphoton.exchange_kernel(jsa),
-        lambda kernel: direct_sum(kernel, jsa.grid.omega_minus(), delays),
-    )
+    return full_grid_probability(biphoton.exchange_kernel(jsa), jsa.grid, delays)
 
 
 class TestHalfSpectrum:
@@ -162,20 +163,26 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("delays", [np.linspace(-2.0, 2.0, 33), [-2.0, 0.1, 0.5, 2.0]])
     def test_any_hermitian_kernel(self, delays):
-        omega = np.linspace(-3.0, 3.0, 101)
-        a = [1.0, 1j] @ np.random.default_rng(5).normal(size=(2, omega.size)) / omega.size
-        kernel = a + np.conj(a[::-1])
-        out = hom.delay_transform(omega, delays)(kernel)
+        # A random half kernel with a real h[0], as K(0) = |C(0)|^2 dw / |C|^2 is.
+        grid = SpectralGrid(span_minus=6.0, points_minus=101)
+        h = [1.0, 1j] @ np.random.default_rng(5).normal(size=(2, 51)) / grid.points_minus
+        h[0] = h[0].real
+        out = hom.delay_transform(grid, delays)(h)
         assert out.dtype == float
-        assert np.max(np.abs(out - direct_sum(kernel, omega, delays))) < 1e-14
+        assert np.max(np.abs(out - direct_sum(full_kernel(h), grid.omega_minus(), delays))) < 1e-14
 
     @pytest.mark.parametrize(
-        "omega",
-        [np.linspace(-1.0, 1.0, 4), np.linspace(-1.0, 1.0, 5) + 0.01, np.array([0.0]), np.zeros((3, 3))],
+        "grid",
+        [
+            SpectralGrid(span_minus=2.0, points_minus=4),
+            SpectralGrid(span_minus=2.0, points_minus=5, center_minus=0.01),
+        ],
+        ids=["even_count", "off_centre"],
     )
-    def test_axis_not_odd_and_symmetric_rejected(self, omega):
-        with pytest.raises(GridSymmetryError, match="symmetric about w- = 0"):
-            hom.delay_transform(omega, [0.0, 1.0])
+    def test_axis_not_odd_and_symmetric_rejected(self, grid):
+        message = "requires a grid symmetric about w- = 0 with an odd point count"
+        with pytest.raises(GridSymmetryError, match=message):
+            hom.delay_transform(grid, [0.0, 1.0])
 
 
 class TestPlanBuilds:
@@ -209,7 +216,7 @@ class TestPlanBuilds:
         second = hom.coincidence_trace(jsa, delays).p_coincidence
         assert len(plans) == 2  # each trace builds its own transform
         assert np.array_equal(first, second)
-        transform = hom.delay_transform(jsa.grid.omega_minus(), delays)
+        transform = hom.delay_transform(jsa.grid, delays)
         assert plans[2]() is not None
         del transform
         assert all(plan() is None for plan in plans)
@@ -226,9 +233,9 @@ class TestPlanBuilds:
         evaluated = []
         probability = hom.coincidence_probability
 
-        def recording(kernel, transform):
-            p = probability(kernel, transform)
-            evaluated.append((kernel, p))
+        def recording(h, transform):
+            p = probability(h, transform)
+            evaluated.append((h, p))
             return p
 
         monkeypatch.setattr(hom, "coincidence_probability", recording)
@@ -236,9 +243,9 @@ class TestPlanBuilds:
         result = estimation.fit_hom_trace(problem, FitSettings(starts=1), theta)
         assert len(plan_builds) == 1
         assert result.residual < 1e-20
-        omega = problem.grid.omega_minus()
-        for kernel, p in evaluated[::10]:
-            slow = probability(kernel, lambda k: direct_sum(k, omega, delays))
+        for h, p in evaluated[::10]:
+            assert h.size == problem.grid.points_minus // 2 + 1
+            slow = full_grid_probability(h, problem.grid, delays)
             assert np.max(np.abs(p - slow)) < 1e-12
 
 
@@ -307,14 +314,12 @@ class TestTraceBasics:
         with pytest.raises(ValidationError, match="at least 2 delays"):
             hom.coincidence_trace(jsa, delays)
         with pytest.raises(ValidationError, match="at least 2 delays"):
-            hom.delay_transform(jsa.grid.omega_minus(), delays)
+            hom.delay_transform(jsa.grid, delays)
 
     @pytest.mark.parametrize("transform_points", [11, 41])
     def test_transform_and_axis_of_other_lengths_rejected(self, transform_points):
         jsa = gaussian_state()
-        transform = hom.delay_transform(
-            jsa.grid.omega_minus(), np.linspace(-4 / SIGMA, 4 / SIGMA, transform_points)
-        )
+        transform = hom.delay_transform(jsa.grid, np.linspace(-4 / SIGMA, 4 / SIGMA, transform_points))
         delays = np.linspace(-4 / SIGMA, 4 / SIGMA, 21)
         message = f"gives {transform_points} delays, the axis has 21"
         with pytest.raises(ValidationError, match=message):
@@ -333,7 +338,7 @@ class TestTraceBasics:
         with pytest.raises(ValidationError, match="finite"):
             hom.coincidence_trace(jsa, delays)
         with pytest.raises(ValidationError, match="finite"):
-            hom.delay_transform(jsa.grid.omega_minus(), delays)
+            hom.delay_transform(jsa.grid, delays)
 
     def test_delayed_state_trace_is_shifted(self):
         jsa = gaussian_state()

@@ -131,14 +131,17 @@ points = st.integers(min_value=3, max_value=100001)
 def run_configs(draw):
     """RunConfigs that set every configuration key, in both grid shapes."""
     fsr = draw(positive_freq)
+    points_minus = draw(points)
     if draw(st.booleans()):  # a 2D grid and a broadband pump
         pump = PumpSpec(1000 * fsr, PumpMode.GAUSSIAN_BROADBAND, draw(positive_freq))
-        plus = dict(span_plus=draw(positive_freq), points_plus=draw(points), center_plus=1000 * fsr)
+        # The grid holds at most MAX_POINTS samples over both axes.
+        points_plus = draw(st.integers(min_value=3, max_value=biphoton.MAX_POINTS // points_minus))
+        plus = dict(span_plus=draw(positive_freq), points_plus=points_plus, center_plus=1000 * fsr)
     else:
         pump = PumpSpec(center_frequency=1000 * fsr)
         plus = {}
     grid = SpectralGrid(
-        span_minus=16 * fsr, points_minus=draw(points), center_minus=draw(signed_freq), **plus
+        span_minus=16 * fsr, points_minus=points_minus, center_minus=draw(signed_freq), **plus
     )
     filt = draw(
         st.none()
