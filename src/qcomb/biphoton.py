@@ -42,8 +42,10 @@ class SpectralGrid:
     """Uniform grid of angular-frequency detunings.
 
     Always carries a difference-frequency (w-) axis; a 2D grid adds a
-    sum-frequency (w+) axis. Odd point counts keep a sample exactly on the
-    axis center so reflection about it is an exact index map.
+    sum-frequency (w+) axis. A 1D grid is symmetric about w- = 0 with an
+    odd point count, so the exchange w- -> -w- is an exact index map on it
+    (``GridSymmetryError`` otherwise); a 2D grid takes any ``center_minus``
+    and point count.
     """
 
     span_minus: float
@@ -68,6 +70,11 @@ class SpectralGrid:
             raise ValidationError("grid needs span_plus > 0 and points_plus >= 2")
         if int(self.points_minus) * int(self.points_plus or 1) > MAX_POINTS:
             raise ValidationError(f"grid holds more than MAX_POINTS = {MAX_POINTS} samples")
+        if not self.is_two_dimensional and (self.center_minus != 0.0 or self.points_minus % 2 == 0):
+            raise GridSymmetryError(
+                "the exchange of a 1D state requires a grid symmetric about w- = 0 with an odd point"
+                f" count, got {self.points_minus!r} points centred at {self.center_minus!r}"
+            )
 
     @property
     def is_two_dimensional(self) -> bool:
@@ -100,10 +107,6 @@ class SpectralGrid:
         if self.is_two_dimensional:
             return self.omega_plus()[:, None], self.omega_minus()[None, :]
         return pump_frequency, self.omega_minus()
-
-    def is_symmetric(self) -> bool:
-        """True when the w- axis is symmetric about 0 with a center sample."""
-        return self.center_minus == 0.0 and self.points_minus % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -244,8 +247,6 @@ def exchange_kernel(jsa: Jsa) -> np.ndarray:
     """
     if jsa.grid.is_two_dimensional:
         raise ValidationError("the exchange kernel is defined for 1D states")
-    if not jsa.grid.is_symmetric():
-        raise GridSymmetryError("the exchange kernel requires a grid symmetric about w- = 0")
     n2 = jsa.norm_squared
     if not 0.0 < n2 < math.inf:
         raise DegenerateStateError("zero or non-finite norm")
@@ -281,17 +282,16 @@ def exchange_kernel_model(
     squared envelope on the bandwidth, the ramp on the walk-off and the
     chirped E on the dispersion. So a sweep over the detuning computes each
     once, and a root find over the dispersion recomputes only the chirp.
-    The preconditions of ``assemble_jsa_mono`` and ``exchange_kernel`` are
-    checked here once, the spec fields, the detuning and the norm at each
-    call, with the same errors.
+    It refuses what ``assemble_jsa_mono`` and ``exchange_kernel`` refuse,
+    with the same errors: the pump, the grid's dimension and resolution
+    here, the spec fields, the detuning and the norm at each call. Every
+    1D grid is symmetric about w- = 0 by construction.
     """
     if pump.mode is not PumpMode.MONOCHROMATIC:
         raise ValidationError("exchange_kernel_model requires a monochromatic pump")
     if grid.is_two_dimensional:
         raise ValidationError("exchange_kernel_model requires a 1D grid")
     _check_resolution(grid, cav)
-    if not grid.is_symmetric():
-        raise GridSymmetryError("the exchange kernel requires a grid symmetric about w- = 0")
     w = grid.omega_minus()[grid.points_minus // 2 :]
     n, dw = w.size, grid.step_minus
     wp = pump.center_frequency

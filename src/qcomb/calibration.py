@@ -12,7 +12,6 @@ for the baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -67,14 +66,13 @@ def calibrate_dispersion(
     assembled.
     """
     model = biphoton.exchange_kernel_model(pump, phase_match, cavity, grid)
-    delays = np.linspace(-DELAY_SPAN, DELAY_SPAN, DELAY_POINTS)
-    transform = hom.delay_transform(grid, delays)
+    transform = hom.delay_transform(grid, np.linspace(-DELAY_SPAN, DELAY_SPAN, DELAY_POINTS))
     # The flip delay folds into the walk-off. The model and the transform go
     # in through args, not a closure: brentq's NaN guard holds its objective
     # in a reference cycle, which would keep their arrays alive until the
     # cyclic collector runs.
     walkoff = phase_match.walkoff + flip_delay
-    args = (model, transform, phase_match.bandwidth, walkoff, delays, target_residual_depth)
+    args = (model, transform, phase_match.bandwidth, walkoff, target_residual_depth)
     try:
         return float(brentq(_depth_error, *bracket, args=args, xtol=1e-31))
     except ValueError as exc:  # brentq: f(lo) and f(hi) have the same sign
@@ -83,10 +81,10 @@ def calibrate_dispersion(
         ) from exc
 
 
-def _depth_error(kappa2, model, transform, bandwidth, walkoff, delays, target):
+def _depth_error(kappa2, model, transform, bandwidth, walkoff, target):
     """Residual dip depth of the flipped state at dispersion kappa2, less the target."""
     kernel = model(bandwidth, walkoff, kappa2)
-    return hom.contrast(hom.kernel_trace(kernel, transform, delays)) - target
+    return hom.contrast(hom.kernel_trace(kernel, transform)) - target
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,6 @@ class OperatingPoint:
     flip_delay: float
 
 
-@lru_cache(maxsize=1)
 def paper_operating_point() -> OperatingPoint:
     """Chip parameters with dispersion and baseline calibrated.
 

@@ -179,15 +179,14 @@ def _cmd_sweep(run: _Run) -> int:
     fsr = config.cavity.fsr
     flip = np.pi / fsr
     detunings = np.linspace(0.0, 2.0 * fsr, steps)
-    delays = _delay_axis(config, 201)
     pm = config.phase_match
     model = biphoton.exchange_kernel_model(config.pump, pm, config.cavity, config.grid)
-    transform = hom.delay_transform(config.grid, delays)
+    transform = hom.delay_transform(config.grid, _delay_axis(config, 201))
     rows = []
     for d in detunings:
         # The flip delay folds into the walk-off, as in the fit.
         h = model(pm.bandwidth, pm.walkoff + flip, pm.dispersion, detuning=d)
-        trace = hom.kernel_trace(h, transform, delays)
+        trace = hom.kernel_trace(h, transform)
         rows.append((d, biphoton.kernel_overlap(h), hom.contrast(trace), trace.extremum_kind))
     near_one_fsr = int(np.argmin(np.abs(detunings - fsr)))
     if not (rows[0][1] > 0.0 and rows[near_one_fsr][1] < 0.0):

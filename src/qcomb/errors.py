@@ -37,7 +37,7 @@ class DegenerateStateError(QcombError):
 
 
 class GridSymmetryError(QcombError):
-    """An operation requiring a symmetric grid got an asymmetric one."""
+    """A 1D grid is not symmetric about w- = 0 with an odd point count."""
 
 
 class OverFilteredError(QcombError):

@@ -18,7 +18,7 @@ from scipy.signal import CZT
 
 from . import biphoton as _biphoton
 from .biphoton import Jsa, SpectralGrid
-from .errors import GridSymmetryError, ResolutionError, UndefinedVisibilityError, ValidationError
+from .errors import ResolutionError, UndefinedVisibilityError, ValidationError
 
 DIP = "dip"
 PEAK = "peak"
@@ -48,9 +48,11 @@ def delay_transform(grid: SpectralGrid, delays):
 
     h is a half kernel (``biphoton.exchange_kernel``) on the w- >= 0 half
     omega = ``grid.omega_minus()[c:]``, c the centre index, so the map sums
-    the Hermitian kernel over the whole grid. ``GridSymmetryError`` unless
-    ``grid.is_symmetric()``; the delays must form a 1D axis of at least 2
-    finite values. Two paths:
+    the Hermitian kernel over the whole grid. The grid must be 1D, hence
+    symmetric about w- = 0, and the delays a 1D axis of at least 2 finite
+    values. The map carries that axis as ``.delays`` and refuses, with
+    ``ValidationError``, an h of other than ``grid.points_minus // 2 + 1``
+    samples. Two paths:
 
     - an axis whose offsets delta from ref = linspace(tau_0, tau_last, m)
       satisfy x = max|omega| max|delta| <= 1 gets the Taylor series
@@ -64,9 +66,8 @@ def delay_transform(grid: SpectralGrid, delays):
     The plan lives as long as the returned map, so a caller that transforms
     onto one axis again and again builds the map once and keeps it.
     """
-    if not grid.is_symmetric():
-        message = "the delay transform requires a grid symmetric about w- = 0 with an odd point count"
-        raise GridSymmetryError(message)
+    if grid.is_two_dimensional:
+        raise ValidationError("the delay transform is defined for 1D grids")
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 2:
         raise ValidationError("delay_transform needs a 1D axis of at least 2 delays")
@@ -80,32 +81,37 @@ def delay_transform(grid: SpectralGrid, delays):
     x = scale * float(np.max(np.abs(offset)))
     if x > 1.0:
 
-        def direct(h):
+        def apply(h):  # the direct sum
             return 2.0 * np.array([np.real(np.sum(h * np.exp(-1j * omega * t))) for t in delays])
 
-        return direct
-    dw = omega[1] - omega[0]
-    step = (ref[-1] - ref[0]) / (m - 1)
-    plan = CZT(
-        n=omega.size, m=m, w=complex(np.exp(-1j * dw * step)), a=complex(np.exp(1j * dw * ref[0]))
-    )
-    post = np.exp(-1j * omega[0] * ref)
-    terms = 1
-    while x**terms / math.factorial(terms) > TAYLOR_TOL:
-        terms += 1
-    u = omega / scale
-    ratio = -1j * scale * offset
+    else:
+        dw = omega[1] - omega[0]
+        step = (ref[-1] - ref[0]) / (m - 1)
+        w, a = complex(np.exp(-1j * dw * step)), complex(np.exp(1j * dw * ref[0]))
+        plan = CZT(n=omega.size, m=m, w=w, a=a)
+        post = np.exp(-1j * omega[0] * ref)
+        terms = 1
+        while x**terms / math.factorial(terms) > TAYLOR_TOL:
+            terms += 1
+        u = omega / scale
+        ratio = -1j * scale * offset
 
-    def chirp_z(h):
-        out = plan(h)
-        coef = np.ones(m, dtype=complex)
-        for p in range(1, terms):
-            h = h * u
-            coef = coef * ratio / p
-            out += coef * plan(h)
-        return 2.0 * np.real(out * post)
+        def apply(h):  # the Taylor series on the chirp-z plan
+            out = plan(h)
+            coef = np.ones(m, dtype=complex)
+            for p in range(1, terms):
+                h = h * u
+                coef = coef * ratio / p
+                out += coef * plan(h)
+            return 2.0 * np.real(out * post)
 
-    return chirp_z
+    def transform(h):
+        if np.shape(h) != omega.shape:
+            raise ValidationError(f"the half kernel needs {omega.size} samples, got {np.shape(h)}")
+        return apply(h)
+
+    transform.delays = delays
+    return transform
 
 
 def coincidence_probability(h, transform):
@@ -171,19 +177,14 @@ def _baseline_window(delays, p, i_ext, kind, level):
 def coincidence_trace(jsa: Jsa, delays) -> HomTrace:
     """Compute the coincidence trace of a 1D state over the given delays."""
     h = _biphoton.exchange_kernel(jsa)
-    return kernel_trace(h, delay_transform(jsa.grid, delays), delays)
+    return kernel_trace(h, delay_transform(jsa.grid, delays))
 
 
-def kernel_trace(h, transform, delays) -> HomTrace:
-    """The coincidence trace of a half kernel h under ``transform``.
-
-    ``transform`` is a ``delay_transform`` map built on the same delays; a
-    map of another length raises ``ValidationError``.
-    """
-    delays = np.asarray(delays, dtype=float)
+def kernel_trace(h, transform) -> HomTrace:
+    """The coincidence trace of a half kernel h on the axis of ``transform``,
+    a ``delay_transform`` map."""
+    delays = transform.delays
     p = coincidence_probability(h, transform)
-    if p.shape != delays.shape:
-        raise ValidationError(f"the transform gives {p.size} delays, the axis has {delays.size}")
     baseline, extremum, kind = _annotate(delays, p)
     return HomTrace(
         delays=delays,

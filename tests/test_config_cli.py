@@ -377,10 +377,8 @@ class TestCli:
         [
             # The 2D broadband state assembles, then the HOM trace refuses it.
             (["hom", "--config", str(GOLDEN / "broadband_2d" / "config.json")], "defined for 1D states"),
-            # The JSI is computed, then the exchange overlap refuses the grid.
-            (["jsi", "--points", "512"], "symmetric about w- = 0"),
         ],
-        ids=["hom-2d", "jsi-even-grid"],
+        ids=["hom-2d"],
     )
     def test_physics_error_mid_run_writes_nothing(self, tmp_path, capsys, argv, message):
         if "--config" not in argv:
@@ -388,6 +386,32 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(argv + ["--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, grid_change, flags",
+        [
+            ("jsi", {"points_minus": 512}, []),
+            ("jsi", {"center_minus_ghz": 3.0}, []),
+            ("jsi", {}, ["--points", "512"]),
+            ("hom", {"points_minus": 512}, []),
+            ("hom", {"center_minus_ghz": 3.0}, []),
+        ],
+        ids=["jsi-even", "jsi-off-centre", "jsi-even-points-flag", "hom-even", "hom-off-centre"],
+    )
+    def test_asymmetric_1d_grid_refused_before_assembly(
+        self, tmp_path, capsys, monkeypatch, command, grid_change, flags
+    ):
+        assembled = []
+        assemble = biphoton._assemble
+        monkeypatch.setattr(biphoton, "_assemble", lambda *a: assembled.append(a) or assemble(*a))
+        doc = small_config_doc()
+        doc["grid"].update(grid_change)
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out), *flags]
+        assert cli.main(argv) == 1
+        assert "requires a grid symmetric about w- = 0" in capsys.readouterr().err
+        assert assembled == []
         assert not out.exists()
 
     def test_hom_unresolved_observables_are_null(self, tmp_path):

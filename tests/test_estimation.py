@@ -10,7 +10,7 @@ from scipy.optimize import OptimizeResult, lsq_linear
 from qcomb import biphoton, cli, config, estimation, hom
 from qcomb.biphoton import SpectralGrid
 from qcomb.cavity import CavitySpec
-from qcomb.errors import GridSymmetryError, NonConvergenceError, ValidationError
+from qcomb.errors import NonConvergenceError, ValidationError
 from qcomb.estimation import (
     FitProblem,
     FitSettings,
@@ -201,16 +201,6 @@ class TestFit:
     def test_settings_need_a_finite_positive_tolerance(self, xatol):
         with pytest.raises(ValidationError, match="xatol must be"):
             FitSettings(xatol=xatol)
-
-    @pytest.mark.parametrize(
-        "grid_change", [{"center_minus": 2 * math.pi * 3e9}, {"points_minus": 512}]
-    )
-    def test_asymmetric_grid_rejected(self, grid_change):
-        # The exchange kernel pairs w- with -w- by reversing the array.
-        problem, _ = small_problem_parts()
-        problem = replace(problem, grid=replace(problem.grid, **grid_change))
-        with pytest.raises(GridSymmetryError):
-            fit_hom_trace(problem, self.settings)
 
     def test_fit_assembles_no_state(self, monkeypatch):
         problem, theta = small_problem_parts()

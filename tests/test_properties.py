@@ -132,17 +132,17 @@ def run_configs(draw):
     """RunConfigs that set every configuration key, in both grid shapes."""
     fsr = draw(positive_freq)
     points_minus = draw(points)
-    if draw(st.booleans()):  # a 2D grid and a broadband pump
+    if draw(st.booleans()):  # a 2D grid, at any w- centre and count, and a broadband pump
         pump = PumpSpec(1000 * fsr, PumpMode.GAUSSIAN_BROADBAND, draw(positive_freq))
         # The grid holds at most MAX_POINTS samples over both axes.
         points_plus = draw(st.integers(min_value=3, max_value=biphoton.MAX_POINTS // points_minus))
         plus = dict(span_plus=draw(positive_freq), points_plus=points_plus, center_plus=1000 * fsr)
-    else:
+        minus = dict(points_minus=points_minus, center_minus=draw(signed_freq))
+    else:  # a 1D grid is symmetric about w- = 0 with an odd count
         pump = PumpSpec(center_frequency=1000 * fsr)
         plus = {}
-    grid = SpectralGrid(
-        span_minus=16 * fsr, points_minus=points_minus, center_minus=draw(signed_freq), **plus
-    )
+        minus = dict(points_minus=points_minus | 1)
+    grid = SpectralGrid(span_minus=16 * fsr, **minus, **plus)
     filt = draw(
         st.none()
         | st.builds(
