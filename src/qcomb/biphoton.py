@@ -30,8 +30,6 @@ from .spectral import FilterSpec, PhaseMatchSpec, PumpMode, PumpSpec
 
 #: Exchange-overlap magnitude above which a state is labeled (anti)symmetric.
 SYMMETRY_THRESHOLD = 0.9
-#: Pump-tuning tolerance of ``symmetry_report``, in free spectral ranges.
-PUMP_TOLERANCE_FSR = 1 / 8
 #: Most samples a grid or a ``--points`` axis may hold, 256 times the README
 #: chip grid: one complex array of 2^24 samples is 268 MB, and a state is several.
 MAX_POINTS = 2**24 + 1
@@ -128,13 +126,6 @@ class Jsa:
         if self.grid.is_two_dimensional:
             return m * self.grid.step_plus * self.grid.step_minus
         return m * self.grid.step_minus
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    exchange_overlap: float
-    label: str  # "symmetric" | "anti_symmetric" | "mixed"
-    pump_class: _cavity.PumpClass
 
 
 def _check_resolution(grid: SpectralGrid, cav: CavitySpec):
@@ -362,25 +353,3 @@ def jsi(jsa: Jsa) -> np.ndarray:
     """Joint spectral intensity: pointwise squared modulus."""
     return np.abs(jsa.amplitudes) ** 2
 
-
-def count_comb_peaks(jsi_1d: np.ndarray, threshold_fraction: float) -> int:
-    """Count strict local maxima above threshold_fraction * max(JSI)."""
-    if not 0.0 < threshold_fraction < 1.0:
-        raise ValidationError("threshold_fraction must lie in (0, 1)")
-    y = np.asarray(jsi_1d, dtype=float)
-    if y.size < 3:
-        raise ValidationError("need at least 3 samples to count peaks")
-    top = float(y.max())
-    if top <= 0.0 or float(y.min()) == top:
-        raise ValidationError("flat or empty intensity has no peaks")
-    inner = y[1:-1]
-    mask = (inner > y[:-2]) & (inner > y[2:]) & (inner > threshold_fraction * top)
-    return int(np.count_nonzero(mask))
-
-
-def symmetry_report(jsa: Jsa, cav: CavitySpec) -> SymmetryReport:
-    """Classify a 1D state by exchange overlap and pump tuning."""
-    s, t = exchange_overlap(jsa), SYMMETRY_THRESHOLD
-    label = "symmetric" if s >= t else "anti_symmetric" if s <= -t else "mixed"
-    pc = _cavity.classify_pump(cav, jsa.pump_frequency, cav.fsr * PUMP_TOLERANCE_FSR)
-    return SymmetryReport(exchange_overlap=s, label=label, pump_class=pc)

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ValidationError, require_finite
 from .spectral import cis
 
+#: Pump-tuning tolerance of ``classify_pump``, in free spectral ranges.
+PUMP_TOLERANCE_FSR = 1 / 8
+
 
 class Polarization(enum.Enum):
     SIGNAL = "signal"
@@ -129,15 +132,15 @@ def linewidth(spec: CavitySpec, polarization: Polarization) -> float:
     return 2.0 * spec.fsr * math.asin(arg) / math.pi
 
 
-def classify_pump(spec: CavitySpec, omega_p: float, tolerance: float) -> PumpClass:
+def classify_pump(spec: CavitySpec, omega_p: float) -> PumpClass:
     """Classify a pump frequency against even/odd multiples of the FSR.
 
     The doubly-resonant grid sits at 2*resonance_offset + k*fsr; even k is
-    resonant, odd k anti-resonant. Returns the signed detuning to the
-    nearest even multiple.
+    resonant, odd k anti-resonant, each within ``PUMP_TOLERANCE_FSR`` * fsr
+    (fsr/8), and anything else intermediate. Returns the signed detuning to
+    the nearest even multiple.
     """
-    if not 0 < tolerance < spec.fsr / 4.0:
-        raise ValidationError("tolerance must lie in (0, fsr/4)")
+    tolerance = spec.fsr * PUMP_TOLERANCE_FSR
     e = omega_p - 2.0 * spec.resonance_offset
     # signed residue in [-fsr, fsr) relative to the even grid (period 2*fsr)
     r = math.remainder(e, 2.0 * spec.fsr)

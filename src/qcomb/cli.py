@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, biphoton, estimation, hom
+from .cavity import classify_pump
 from .config import RunConfig, parse_config
 from .errors import DataFormatError, QcombError, ValidationError
 from .spectral import PumpMode
@@ -57,6 +58,8 @@ class _Run:
                 raise ValidationError("sweep needs --points of at least 3")
         if command in ("sweep", "fit") and self.config.filter is not None:
             raise ValidationError(f"{command} does not apply config.filter; remove the section")
+        if command != "jsi" and self.config.grid.is_two_dimensional:
+            raise ValidationError(f"{command} is defined for 1D grids; only jsi takes a 2D grid")
         if command == "sweep" and self.config.delay != 0.0:
             raise ValidationError("sweep applies its own flip delay, not config.delay_s; set it to 0")
         if command != "fit" and self.data is not None:
@@ -103,16 +106,18 @@ def _delay_axis(config: RunConfig, points):
     return np.linspace(-half, half, 401 if points is None else points)
 
 
-def _symmetry_payload(jsa, cavity):
+def _symmetry_payload(overlap, pump_frequency, cavity):
     """Exchange overlap, its label and the pump class of a 1D state."""
-    report = biphoton.symmetry_report(jsa, cavity)
+    t = biphoton.SYMMETRY_THRESHOLD
+    label = "symmetric" if overlap >= t else "anti_symmetric" if overlap <= -t else "mixed"
+    pump_class = classify_pump(cavity, pump_frequency)
     return {
-        "symmetry_label": report.label,
-        "exchange_overlap_re": report.exchange_overlap,
+        "symmetry_label": label,
+        "exchange_overlap_re": overlap,
         "exchange_overlap_im": 0.0,  # the overlap of a Hermitian kernel is real
         "pump_class": {
-            "label": report.pump_class.label.value,
-            "nearest_resonant_detuning_rad_per_s": report.pump_class.nearest_resonant_detuning,
+            "label": pump_class.label.value,
+            "nearest_resonant_detuning_rad_per_s": pump_class.nearest_resonant_detuning,
         },
     }
 
@@ -134,7 +139,8 @@ def _cmd_jsi(run: _Run) -> int:
         rows += [[_fmt(wp[i])] + [_fmt(v) for v in intensity[i]] for i in range(wp.size)]
         run.write_csv("jsi.csv", "omega_plus_rad_per_s\\omega_minus_rad_per_s", rows)
     else:
-        meta.update(_symmetry_payload(jsa, config.cavity))
+        overlap = biphoton.exchange_overlap(jsa)
+        meta.update(_symmetry_payload(overlap, jsa.pump_frequency, config.cavity))
         run.write_csv(
             "jsi.csv",
             "omega_minus_rad_per_s,jsi",
@@ -156,13 +162,14 @@ def _cmd_hom(run: _Run) -> int:
     config = run.config
     jsa = _assemble(config)
     delays = _delay_axis(config, run.points)
-    trace = hom.coincidence_trace(jsa, delays)
+    h = biphoton.exchange_kernel(jsa)
+    trace = hom.kernel_trace(h, hom.delay_transform(jsa.grid, delays))
     report = {
         "visibility": _unless_unresolved(hom.visibility, trace),
         "fwhm_s": _unless_unresolved(hom.feature_width, trace),
         "extremum_kind": trace.extremum_kind,
         "baseline": trace.baseline,
-        **_symmetry_payload(jsa, config.cavity),
+        **_symmetry_payload(biphoton.kernel_overlap(h), jsa.pump_frequency, config.cavity),
     }
     rows = [
         (delays[i], trace.p_coincidence[i], trace.p_coincidence[i] / 0.5)

@@ -1,19 +1,17 @@
-"""JSON run-configuration parsing and emission.
+"""JSON run-configuration parsing.
 
 A single JSON document carries all physics parameters. Frequencies are
 accepted under unit-suffixed keys (``_thz``, ``_ghz``, ``_rad_per_s``);
 ``_thz``/``_ghz`` values are ordinary frequencies and are converted to
-angular rad/s internally. Emission always uses the canonical
-``_rad_per_s`` form so parse(emit(c)) round-trips exactly.
+angular rad/s internally.
 
 ``SCHEMA`` and ``ROOT_FIELDS`` are the only list of configuration keys:
-``parse_config`` and ``emit_config`` both walk them, and a key left out
-of a document takes the default its spec dataclass declares.
+``parse_config`` walks them, and a key left out of a document takes the
+default its spec dataclass declares.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -200,24 +198,3 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
     return RunConfig(**{name: cls(**values) for name, cls, values in specs}, **top)
 
-
-def _emit(obj, fields):
-    doc = {}
-    for attr, key, kind, _ in fields:
-        value = getattr(obj, attr)
-        if value is None:
-            continue
-        if kind == FREQUENCY:
-            key = f"{key}_rad_per_s"
-        doc[key] = value.value if isinstance(value, enum.Enum) else value
-    return doc
-
-
-def emit_config(config: RunConfig) -> str:
-    """Serialize a RunConfig as canonical JSON (angular rad/s keys)."""
-    doc = _emit(config, ROOT_FIELDS)
-    for name, _, _, fields in SCHEMA:
-        spec = getattr(config, name)
-        if spec is not None:
-            doc[name] = _emit(spec, fields)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -28,8 +28,8 @@ PEAK = "peak"
 class HomTrace:
     """Coincidence probability versus interferometer delay.
 
-    baseline and extremum are annotations estimated at construction; the
-    ``visibility`` operation recomputes them for an explicit window.
+    baseline and extremum are annotations estimated at construction;
+    ``visibility`` re-estimates the baseline in a window set by the trace.
     """
 
     delays: np.ndarray
@@ -200,23 +200,24 @@ def trace_for_delayed_state(jsa: Jsa, tau: float, delays) -> HomTrace:
     return coincidence_trace(_biphoton.apply_delay(jsa, tau), delays)
 
 
-def visibility(trace: HomTrace, baseline_window=None) -> float:
+def visibility(trace: HomTrace) -> float:
     """(N_tau - N_0)/N_tau: positive for dips, negative for peaks.
 
-    N_tau is the mean coincidence level over the baseline window, a
-    (lo, hi) range of |tau - tau_ext| measured from the extremum at
-    tau_ext; N_0 the extremal level. The value does not depend on where
-    the feature sits on the delay axis.
+    N_0 is the extremal level at tau_ext; N_tau the mean level over the
+    baseline window |tau - tau_ext| in [3w, 5w], w the feature width against
+    ``trace.baseline``, clipped to the trace span (the outer quarter of the
+    span if that leaves it empty). The value does not depend on where the
+    feature sits on the delay axis. A window of fewer than 10 samples, or one
+    reaching the extremum, raises ``ValidationError``; a zero N_tau raises
+    ``UndefinedVisibilityError``. It warns if the feature, measured against
+    N_tau, reaches into the window.
     """
     delays = trace.delays
     p = trace.p_coincidence
     kind = trace.extremum_kind
     i_ext = _extremum_index(p, kind)
-    t_ext = delays[i_ext]
-    if baseline_window is None:
-        baseline_window = _baseline_window(delays, p, i_ext, kind, trace.baseline)
-    lo, _ = baseline_window
-    mask = _window_mask(delays, t_ext, baseline_window)
+    lo, hi = _baseline_window(delays, p, i_ext, kind, trace.baseline)
+    mask = _window_mask(delays, delays[i_ext], (lo, hi))
     if np.count_nonzero(mask) < 10:
         raise ValidationError("baseline window must contain at least 10 samples")
     n_tau = float(p[mask].mean())
@@ -261,13 +262,3 @@ def feature_width(trace: HomTrace) -> float:
 
     return float(abs(cross(hi + 1, hi) - cross(lo - 1, lo)))
 
-
-def gaussian_trace(sigma: float, delays) -> np.ndarray:
-    """Closed-form trace for C = exp(-w^2/(2 sigma^2)) with no cavity."""
-    t = np.asarray(delays, dtype=float)
-    return 0.5 * (1.0 - np.exp(-(sigma**2) * t * t / 4.0))
-
-
-def gaussian_dip_fwhm(sigma: float) -> float:
-    """FWHM of the Gaussian-state dip: 4 sqrt(ln 2)/sigma."""
-    return 4.0 * math.sqrt(math.log(2.0)) / sigma

@@ -11,6 +11,17 @@ from qcomb.spectral import PhaseMatchSpec, PumpSpec
 FSR = 2.0 * math.pi * 10e9
 
 
+def gaussian_trace(sigma: float, delays) -> np.ndarray:
+    """Closed-form trace for C = exp(-w^2/(2 sigma^2)) with no cavity."""
+    t = np.asarray(delays, dtype=float)
+    return 0.5 * (1.0 - np.exp(-(sigma**2) * t * t / 4.0))
+
+
+def gaussian_dip_fwhm(sigma: float) -> float:
+    """FWHM of the Gaussian-state dip: 4 sqrt(ln 2)/sigma."""
+    return 4.0 * math.sqrt(math.log(2.0)) / sigma
+
+
 @pytest.fixture
 def fast_cavity():
     return CavitySpec(fsr=FSR, reflectivity_signal=0.4, reflectivity_idler=0.4)

@@ -23,6 +23,7 @@ from qcomb.spectral import (
     PumpMode,
     PumpSpec,
 )
+from conftest import gaussian_trace
 
 C_LIGHT = 299792458.0
 
@@ -116,7 +117,7 @@ def test_criterion_3_gaussian_oracle():
     )
     delays = np.linspace(-5 / sigma, 5 / sigma, 501)
     trace = hom.coincidence_trace(jsa, delays)
-    err = float(np.max(np.abs(trace.p_coincidence - hom.gaussian_trace(sigma, delays))))
+    err = float(np.max(np.abs(trace.p_coincidence - gaussian_trace(sigma, delays))))
     report(3, err < 1e-6, f"max |P_c - closed form| = {err:.2e}")
 
 
@@ -179,6 +180,19 @@ def test_criterion_6_filter_prediction(operating_point):
     report(6, ok, f"25 nm filter + R=0.5 delayed-state V={v:.3f} (target 0.70±0.10)")
 
 
+def count_comb_peaks(jsi_1d, threshold_fraction):
+    """Count strict local maxima above threshold_fraction * max(JSI)."""
+    y = np.asarray(jsi_1d, dtype=float)
+    inner = y[1:-1]
+    mask = (inner > y[:-2]) & (inner > y[2:]) & (inner > threshold_fraction * y.max())
+    return int(np.count_nonzero(mask))
+
+
+def test_count_comb_peaks_counts_local_maxima_above_threshold():
+    y = np.array([0.0, 1.0, 0.0, 0.005, 0.0, 0.8, 0.0])
+    assert count_comb_peaks(y, 0.01) == 2
+
+
 def test_criterion_7_peak_count():
     jsa = biphoton.assemble_jsa_mono(
         presets.chip_pump(),
@@ -186,7 +200,7 @@ def test_criterion_7_peak_count():
         presets.chip_cavity(),
         presets.chip_grid(),
     )
-    n = biphoton.count_comb_peaks(biphoton.jsi(jsa), 0.01)
+    n = count_comb_peaks(biphoton.jsi(jsa), 0.01)
     report(7, n > 500, f"{n} comb peaks above 1% threshold (need > 500)")
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -482,43 +483,28 @@ class TestExchangeKernelModel:
                 kernel(**args)
 
 
-class TestCombPeaks:
-    def test_counts_local_maxima_above_threshold(self):
-        y = np.array([0.0, 1.0, 0.0, 0.005, 0.0, 0.8, 0.0])
-        assert biphoton.count_comb_peaks(y, 0.01) == 2
+class TestJsiSymmetryPayload:
+    """The exchange-symmetry label and pump class that ``qcomb jsi`` writes."""
 
-    def test_threshold_validation(self):
-        y = np.array([0.0, 1.0, 0.0])
-        for bad in (0.0, 1.0, -0.5):
-            with pytest.raises(ValidationError):
-                biphoton.count_comb_peaks(y, bad)
+    @staticmethod
+    def jsi_meta(tmp_path, doc):
+        out = tmp_path / "out"
+        assert cli.main(["jsi", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        return json.loads((out / "jsi_meta.json").read_text())
 
-    def test_flat_input_rejected(self):
-        with pytest.raises(ValidationError):
-            biphoton.count_comb_peaks(np.ones(10), 0.01)
+    def test_resonant_symmetric(self, tmp_path):
+        meta = self.jsi_meta(tmp_path, small_config_doc())
+        assert meta["symmetry_label"] == "symmetric"
+        assert meta["pump_class"]["label"] == PumpClassLabel.RESONANT.value
 
-
-class TestSymmetryReport:
-    def test_resonant_symmetric(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
-        jsa = biphoton.assemble_jsa_mono(
-            resonant_pump, fast_phase_match, fast_cavity, fast_grid
-        )
-        report = biphoton.symmetry_report(jsa, fast_cavity)
-        assert report.label == "symmetric"
-        assert report.pump_class.label is PumpClassLabel.RESONANT
-
-    def test_delayed_anti_resonant_labeled_anti_symmetric(
-        self, anti_resonant_pump, fast_phase_match
-    ):
-        cav = CavitySpec(fsr=FSR, reflectivity_signal=0.97, reflectivity_idler=0.97)
-        grid = SpectralGrid(span_minus=16 * FSR, points_minus=2**15 + 1)
-        jsa = biphoton.assemble_jsa_mono(
-            anti_resonant_pump, fast_phase_match, cav, grid
-        )
-        delayed = biphoton.apply_delay(jsa, math.pi / FSR)
-        report = biphoton.symmetry_report(delayed, cav)
-        assert report.label == "anti_symmetric"
-        assert report.pump_class.label is PumpClassLabel.ANTI_RESONANT
+    def test_delayed_anti_resonant_labeled_anti_symmetric(self, tmp_path):
+        doc = small_config_doc(delay_s=math.pi / FSR)
+        doc["pump"] = {"center_frequency_rad_per_s": (2 * 100 + 1) * FSR}
+        doc["cavity"].update(reflectivity_signal=0.97, reflectivity_idler=0.97)
+        doc["grid"]["points_minus"] = 2**15 + 1
+        meta = self.jsi_meta(tmp_path, doc)
+        assert meta["symmetry_label"] == "anti_symmetric"
+        assert meta["pump_class"]["label"] == PumpClassLabel.ANTI_RESONANT.value
 
 
 #: One valid instance of each spec dataclass with float fields.

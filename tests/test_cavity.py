@@ -136,26 +136,26 @@ class TestCavityFactor:
 class TestClassifyPump:
     def test_resonant_and_anti_resonant(self):
         cav = make_cavity(0.5)
-        tol = FSR / 10
-        assert classify_pump(cav, 8 * FSR, tol).label is PumpClassLabel.RESONANT
-        assert classify_pump(cav, 9 * FSR, tol).label is PumpClassLabel.ANTI_RESONANT
-        assert classify_pump(cav, 8.5 * FSR, tol).label is PumpClassLabel.INTERMEDIATE
+        assert classify_pump(cav, 8 * FSR).label is PumpClassLabel.RESONANT
+        assert classify_pump(cav, 9 * FSR).label is PumpClassLabel.ANTI_RESONANT
+        assert classify_pump(cav, 8.5 * FSR).label is PumpClassLabel.INTERMEDIATE
+
+    @pytest.mark.parametrize(
+        "multiple, label",
+        [(8.1, PumpClassLabel.RESONANT), (8.15, PumpClassLabel.INTERMEDIATE)],
+    )
+    def test_tolerance_is_an_eighth_of_the_fsr(self, multiple, label):
+        assert classify_pump(make_cavity(0.5), multiple * FSR).label is label
 
     def test_detuning_is_signed(self):
         cav = make_cavity(0.5)
-        pc = classify_pump(cav, 8 * FSR + 0.02 * FSR, FSR / 10)
+        pc = classify_pump(cav, 8 * FSR + 0.02 * FSR)
         assert pc.nearest_resonant_detuning == pytest.approx(0.02 * FSR)
 
     def test_offset_shifts_grid(self):
         cav = make_cavity(0.5, offset=0.25 * FSR)
-        pc = classify_pump(cav, 8 * FSR + 0.5 * FSR, FSR / 10)
+        pc = classify_pump(cav, 8 * FSR + 0.5 * FSR)
         assert pc.label is PumpClassLabel.RESONANT
-
-    def test_tolerance_validation(self):
-        cav = make_cavity(0.5)
-        for bad in (0.0, -1.0, FSR):
-            with pytest.raises(ValidationError):
-                classify_pump(cav, 8 * FSR, bad)
 
 
 def test_spec_validation():

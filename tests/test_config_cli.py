@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from qcomb import biphoton, cli, estimation, hom
-from qcomb.config import ROOT_FIELDS, SCHEMA, RunConfig, emit_config, parse_config
+from qcomb.config import ROOT_FIELDS, SCHEMA, RunConfig, parse_config
 from qcomb.errors import ConfigError, DataFormatError, ValidationError
 from conftest import FSR
+from test_properties import emit_config
 
 FSR_GHZ = FSR / (2 * math.pi * 1e9)
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -372,21 +373,34 @@ class TestCli:
         assert "fit requires --data" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            # The 2D broadband state assembles, then the HOM trace refuses it.
-            (["hom", "--config", str(GOLDEN / "broadband_2d" / "config.json")], "defined for 1D states"),
-        ],
-        ids=["hom-2d"],
-    )
-    def test_physics_error_mid_run_writes_nothing(self, tmp_path, capsys, argv, message):
-        if "--config" not in argv:
-            argv = argv + ["--config", write_config(tmp_path, small_config_doc())]
+    @pytest.mark.parametrize("command", ["hom", "sweep", "fit"])
+    def test_2d_grid_refused_before_assembly(self, tmp_path, capsys, monkeypatch, command):
+        assembled = []
+        assemble = biphoton._assemble
+        monkeypatch.setattr(biphoton, "_assemble", lambda *a: assembled.append(a) or assemble(*a))
+        doc = json.loads((GOLDEN / "broadband_2d" / "config.json").read_text())
+        if command != "hom":
+            del doc["filter"]  # sweep and fit refuse a filter first
         out = tmp_path / "out"
-        assert cli.main(argv + ["--out", str(out)]) == 1
-        assert message in capsys.readouterr().err
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+        if command == "fit":
+            data = tmp_path / "data.csv"
+            taus = np.linspace(-1e-10, 1e-10, 33)
+            data.write_text("tau_s,counts\n" + "".join(f"{t:.6e},{500 + k % 3}\n" for k, t in enumerate(taus)))
+            argv += ["--data", str(data)]
+        assert cli.main(argv) == 1
+        assert f"{command} is defined for 1D grids; only jsi takes a 2D grid" in capsys.readouterr().err
+        assert assembled == []
         assert not out.exists()
+
+    def test_hom_computes_the_exchange_kernel_once(self, tmp_path, monkeypatch):
+        # The trace and the exchange overlap share one half kernel.
+        kernels = []
+        kernel = biphoton.exchange_kernel
+        monkeypatch.setattr(biphoton, "exchange_kernel", lambda jsa: kernels.append(jsa) or kernel(jsa))
+        argv = ["hom", "--config", str(GOLDEN / "chip" / "config.json"), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert len(kernels) == 1
 
     @pytest.mark.parametrize(
         "command, grid_change, flags",

@@ -15,7 +15,7 @@ from qcomb.errors import (
     ValidationError,
 )
 from qcomb.estimation import FitSettings
-from conftest import FSR
+from conftest import FSR, gaussian_dip_fwhm, gaussian_trace
 from test_config_cli import small_config_doc, write_config
 from test_estimation import small_problem_parts
 
@@ -75,14 +75,14 @@ class TestGaussianOracle:
         jsa = gaussian_state()
         delays = np.linspace(-5 / SIGMA, 5 / SIGMA, 501)
         trace = hom.coincidence_trace(jsa, delays)
-        expected = hom.gaussian_trace(SIGMA, delays)
+        expected = gaussian_trace(SIGMA, delays)
         assert np.max(np.abs(trace.p_coincidence - expected)) < 1e-6
 
     def test_non_uniform_delays_use_direct_sum(self, plan_builds):
         jsa = gaussian_state(points=1001)
         delays = np.array([-3.0, -0.5, 0.0, 0.7, 1.1, 2.9, 4.0, 4.5, 5.0]) / SIGMA
         trace = hom.coincidence_trace(jsa, delays)
-        expected = hom.gaussian_trace(SIGMA, delays)
+        expected = gaussian_trace(SIGMA, delays)
         assert np.max(np.abs(trace.p_coincidence - expected)) < 1e-6
         assert plan_builds == []
 
@@ -107,7 +107,7 @@ class TestGaussianOracle:
         p = hom.coincidence_trace(jsa, delays).p_coincidence
         slow = full_grid_probability(biphoton.exchange_kernel(jsa), jsa.grid, delays)
         assert len(plan_builds) == 1
-        assert np.max(np.abs(p - hom.gaussian_trace(SIGMA, delays))) < 1e-12
+        assert np.max(np.abs(p - gaussian_trace(SIGMA, delays))) < 1e-12
         assert np.max(np.abs(p - slow)) < 1e-12
 
     def test_axis_with_slightly_longer_steps_does_not_drift(self, plan_builds):
@@ -355,19 +355,13 @@ class TestVisibility:
         )
         assert hom.visibility(trace) == pytest.approx(-1.0, abs=1e-2)
 
-    def test_explicit_window(self):
-        trace = hom.coincidence_trace(
-            gaussian_state(), np.linspace(-8 / SIGMA, 8 / SIGMA, 801)
-        )
-        v = hom.visibility(trace, baseline_window=(5 / SIGMA, 8 / SIGMA))
-        assert v == pytest.approx(1.0, abs=1e-4)
-
     def test_window_with_too_few_samples_rejected(self):
+        # 21 delays leave fewer than 10 in the default [3w, 5w] window.
         trace = hom.coincidence_trace(
-            gaussian_state(), np.linspace(-8 / SIGMA, 8 / SIGMA, 801)
+            gaussian_state(), np.linspace(-8 / SIGMA, 8 / SIGMA, 21)
         )
-        with pytest.raises(ValidationError):
-            hom.visibility(trace, baseline_window=(7.99 / SIGMA, 8 / SIGMA))
+        with pytest.raises(ValidationError, match="at least 10 samples"):
+            hom.visibility(trace)
 
     def test_zero_baseline_rejected(self):
         delays = np.linspace(-1.0, 1.0, 101)
@@ -379,14 +373,30 @@ class TestVisibility:
             extremum_kind=hom.DIP,
         )
         with pytest.raises(UndefinedVisibilityError):
-            hom.visibility(trace, baseline_window=(0.5, 1.0))
+            hom.visibility(trace)
+
+    def test_window_reaching_the_extremum_rejected(self):
+        # 12 equal delays: the feature has no width, so the window starts at
+        # the extremum.
+        trace = hom.coincidence_trace(gaussian_state(), np.full(12, 1 / SIGMA))
+        with pytest.raises(ValidationError, match="no samples near the extremum"):
+            hom.visibility(trace)
 
     def test_overlapping_window_warns(self):
-        trace = hom.coincidence_trace(
-            gaussian_state(), np.linspace(-8 / SIGMA, 8 / SIGMA, 801)
+        # A flat-bottomed dip over 95 % of each half of the axis: the
+        # window falls back to the outer quarter, and measured against that
+        # quarter's mean level the dip reaches into it.
+        delays = np.linspace(-1.0, 1.0, 801)
+        p = 0.5 * (1.0 - np.exp(-((delays / 0.95) ** 8)))
+        trace = hom.HomTrace(
+            delays=delays,
+            p_coincidence=p,
+            baseline=0.5,
+            extremum=float(p.min()),
+            extremum_kind=hom.DIP,
         )
-        with pytest.warns(UserWarning):
-            hom.visibility(trace, baseline_window=(0.3 / SIGMA, 8 / SIGMA))
+        with pytest.warns(UserWarning, match="overlaps the interference feature"):
+            assert hom.visibility(trace) == pytest.approx(1.0)
 
     def test_off_centre_dip_keeps_its_visibility(self, recwarn):
         # 200 fs of walk-off moves the chip dip to tau = +200 fs; the
@@ -431,7 +441,7 @@ class TestFeatureWidth:
     def test_gaussian_dip_fwhm(self, direction):
         delays = np.linspace(-8 / SIGMA, 8 / SIGMA, 2001)[::direction]
         trace = hom.coincidence_trace(gaussian_state(), delays)
-        expected = hom.gaussian_dip_fwhm(SIGMA)
+        expected = gaussian_dip_fwhm(SIGMA)
         assert hom.feature_width(trace) == pytest.approx(expected, rel=1e-3)
 
     def test_coarse_axis_rejected(self):
@@ -442,7 +452,7 @@ class TestFeatureWidth:
 
     def test_truncated_feature_rejected(self):
         delays = np.linspace(-0.8 / SIGMA, 0.8 / SIGMA, 201)
-        p = hom.gaussian_trace(SIGMA, delays)
+        p = gaussian_trace(SIGMA, delays)
         trace = hom.HomTrace(
             delays=delays,
             p_coincidence=p,

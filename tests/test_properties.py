@@ -5,6 +5,7 @@ revival periodicity, delay-shift invariance of the trace observables,
 configuration round-trip, and output determinism.
 """
 
+import enum
 import json
 import math
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from qcomb import biphoton, cli, hom
 from qcomb.biphoton import SpectralGrid
 from qcomb.cavity import CavitySpec
-from qcomb.config import RunConfig, emit_config, parse_config
+from qcomb.config import FREQUENCY, ROOT_FIELDS, SCHEMA, RunConfig, parse_config
 from qcomb.spectral import (
     FilterShape,
     FilterSpec,
@@ -173,6 +174,30 @@ def run_configs(draw):
         output_dir=draw(st.text(max_size=20)),
         seed=draw(st.integers(min_value=0, max_value=2**31)),
     )
+
+
+def _emit(obj, fields):
+    doc = {}
+    for attr, key, kind, _ in fields:
+        value = getattr(obj, attr)
+        if value is None:
+            continue
+        if kind == FREQUENCY:
+            key = f"{key}_rad_per_s"
+        doc[key] = value.value if isinstance(value, enum.Enum) else value
+    return doc
+
+
+def emit_config(config: RunConfig) -> str:
+    """Canonical JSON of a RunConfig (angular rad/s keys), written from the
+    same ``SCHEMA`` and ``ROOT_FIELDS`` tables that ``parse_config`` reads,
+    so parse(emit(c)) == c checks the parser against every key."""
+    doc = _emit(config, ROOT_FIELDS)
+    for name, _, _, fields in SCHEMA:
+        spec = getattr(config, name)
+        if spec is not None:
+            doc[name] = _emit(spec, fields)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @settings(max_examples=N_CASES, deadline=None)
