@@ -2,8 +2,8 @@
 
 1D states live on a difference-frequency axis at a fixed sum frequency
 (monochromatic pump); 2D states live on a rectangular (sum, difference)
-grid. Swapping signal and idler is the reflection w- -> -w- at fixed w+,
-which is an exact index map on grids symmetric about w- = 0.
+grid (broadband pump). Swapping signal and idler is the reflection
+w- -> -w- at fixed w+, an exact index map on grids symmetric about w- = 0.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .spectral import FilterSpec, PhaseMatchSpec, PumpMode, PumpSpec
+from .spectral import FilterSpec, PhaseMatchSpec, PumpSpec
 
 #: Exchange-overlap magnitude above which a state is labeled (anti)symmetric.
 SYMMETRY_THRESHOLD = 0.9
@@ -100,6 +100,16 @@ class SpectralGrid:
             -self.span_plus / 2.0, self.span_plus / 2.0, self.points_plus
         )
 
+    def check_pump(self, pump: PumpSpec) -> None:
+        """Refuse a pump the grid does not pair with: a monochromatic pump
+        (linewidth 0) takes a 1D grid, a broadband one (linewidth > 0) a 2D grid."""
+        if (pump.linewidth > 0.0) != self.is_two_dimensional:
+            shape = "2D" if self.is_two_dimensional else "1D"
+            raise ValidationError(
+                f"a pump of linewidth {pump.linewidth!r} rad/s does not pair with a {shape} grid: a"
+                " monochromatic pump (linewidth 0) takes a 1D grid, a broadband one (linewidth > 0) a 2D grid"
+            )
+
     def axes(self, pump_frequency: float):
         """(w+, w-) shaped like the amplitudes; w+ is the pump frequency in 1D."""
         if self.is_two_dimensional:
@@ -150,49 +160,29 @@ def _check_resolution(grid: SpectralGrid, cav: CavitySpec):
         )
 
 
-def assemble_jsa_mono(
+def assemble_jsa(
     pump: PumpSpec, pm: PhaseMatchSpec, cav: CavitySpec, grid: SpectralGrid
 ) -> Jsa:
-    """Assemble the 1D state of a monochromatic pump.
+    """Assemble the state of the pump on the grid it pairs with.
 
-    C(w-) = C_PM(w_p, w-) * T_s((w_p + w-)/2) * T_i((w_p - w-)/2).
+    1D (monochromatic pump at w_p):
+    C(w-) = C_PM(w-) * T_s((w_p + w-)/2) * T_i((w_p - w-)/2).
+    2D (Gaussian broadband pump):
+    C(w+, w-) = C_p(w+) * C_PM(w-) * T_s((w+ + w-)/2) * T_i((w+ - w-)/2).
 
     The medium's quadratic dispersion chirps the cavity resonance comb
     (the cavity is the dispersive medium itself), so the phase-match
     dispersion coefficient also enters the transmission phases.
     """
-    if pump.mode is not PumpMode.MONOCHROMATIC:
-        raise ValidationError("assemble_jsa_mono requires a monochromatic pump")
-    if grid.is_two_dimensional:
-        raise ValidationError("assemble_jsa_mono requires a 1D grid")
-    return _assemble(pump, pm, cav, grid)
-
-
-def assemble_jsa_broadband(
-    pump: PumpSpec, pm: PhaseMatchSpec, cav: CavitySpec, grid: SpectralGrid
-) -> Jsa:
-    """Assemble the 2D state of a Gaussian broadband pump.
-
-    C(w+, w-) = C_p(w+) * C_PM(w+, w-) * C_cav(w+, w-).
-    """
-    if pump.mode is not PumpMode.GAUSSIAN_BROADBAND:
-        raise ValidationError("assemble_jsa_broadband requires a broadband pump")
-    if not grid.is_two_dimensional:
-        raise ValidationError("assemble_jsa_broadband requires a 2D grid")
-    return _assemble(pump, pm, cav, grid)
-
-
-def _assemble(pump, pm, cav, grid) -> Jsa:
-    """Pump (broadband only) x phase matching x cavity on the grid's axes."""
+    grid.check_pump(pump)
     _check_resolution(grid, cav)
     wp0 = pump.center_frequency
     wp, wm = grid.axes(wp0)
-    if pump.mode is PumpMode.MONOCHROMATIC:
-        factors = ("phase_match", "cavity")
-        c = _spectral.eval_phase_match(pm, wp, wm)
-    else:
-        factors = ("pump", "phase_match", "cavity")
-        c = _spectral.eval_pump(pump, wp) * _spectral.eval_phase_match(pm, wp, wm)
+    factors = ("phase_match", "cavity")
+    c = _spectral.eval_phase_match(pm, wm)
+    if grid.is_two_dimensional:
+        factors = ("pump",) + factors
+        c = _spectral.eval_pump(pump, wp) * c
     c = c * _cavity.cavity_factor(
         cav, wp, wm, dispersion=pm.dispersion, dispersion_center=wp0 / 2.0
     )
@@ -200,6 +190,15 @@ def _assemble(pump, pm, cav, grid) -> Jsa:
     if not 0.0 < jsa.norm_squared < math.inf:
         raise DegenerateStateError("assembled state has zero or non-finite norm")
     return jsa
+
+
+def assemble_jsa_mono(
+    pump: PumpSpec, pm: PhaseMatchSpec, cav: CavitySpec, grid: SpectralGrid
+) -> Jsa:
+    """``assemble_jsa`` on a 1D grid only: the state of a monochromatic pump."""
+    if grid.is_two_dimensional:
+        raise ValidationError("assemble_jsa_mono requires a 1D grid")
+    return assemble_jsa(pump, pm, cav, grid)
 
 
 def apply_delay(jsa: Jsa, tau: float) -> Jsa:
@@ -274,14 +273,13 @@ def exchange_kernel_model(
     chirped E on the dispersion. So a sweep over the detuning computes each
     once, and a root find over the dispersion recomputes only the chirp.
     It refuses what ``assemble_jsa_mono`` and ``exchange_kernel`` refuse,
-    with the same errors: the pump, the grid's dimension and resolution
-    here, the spec fields, the detuning and the norm at each call. Every
-    1D grid is symmetric about w- = 0 by construction.
+    with the same errors: the grid's dimension, its pairing with the pump
+    and its resolution here, the spec fields, the detuning and the norm at
+    each call. Every 1D grid is symmetric about w- = 0 by construction.
     """
-    if pump.mode is not PumpMode.MONOCHROMATIC:
-        raise ValidationError("exchange_kernel_model requires a monochromatic pump")
     if grid.is_two_dimensional:
         raise ValidationError("exchange_kernel_model requires a 1D grid")
+    grid.check_pump(pump)
     _check_resolution(grid, cav)
     w = grid.omega_minus()[grid.points_minus // 2 :]
     n, dw = w.size, grid.step_minus

@@ -22,7 +22,7 @@ from .cavity import CavitySpec
 from .errors import ValidationError
 from .spectral import PhaseMatchSpec, PumpSpec
 
-#: Default delay axis for calibration traces: +-400 fs around the dip.
+#: Default delay axis for calibration traces: +-800 fs around the dip, in 4 fs steps.
 DELAY_SPAN = 8e-13
 DELAY_POINTS = 401
 

@@ -22,7 +22,6 @@ from . import __version__, biphoton, estimation, hom
 from .cavity import classify_pump
 from .config import RunConfig, parse_config
 from .errors import DataFormatError, QcombError, ValidationError
-from .spectral import PumpMode
 
 #: Half-span of the default delay axis, in units of 1/bandwidth.
 _DELAY_HALF_SPAN_FACTOR = 60.0
@@ -86,14 +85,7 @@ class _Run:
 
 
 def _assemble(config: RunConfig):
-    if config.pump.mode is PumpMode.MONOCHROMATIC:
-        jsa = biphoton.assemble_jsa_mono(
-            config.pump, config.phase_match, config.cavity, config.grid
-        )
-    else:
-        jsa = biphoton.assemble_jsa_broadband(
-            config.pump, config.phase_match, config.cavity, config.grid
-        )
+    jsa = biphoton.assemble_jsa(config.pump, config.phase_match, config.cavity, config.grid)
     if config.delay != 0.0:
         jsa = biphoton.apply_delay(jsa, config.delay)
     if config.filter is not None:
@@ -209,7 +201,7 @@ def _cmd_sweep(run: _Run) -> int:
 
 
 def read_data_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column delay/counts CSV, reporting bad rows by line number."""
+    """Read a two-column delay/counts CSV of counts >= 0, reporting bad rows by line number."""
     taus, counts = [], []
     header_seen = False
     with open(path) as fh:
@@ -229,10 +221,13 @@ def read_data_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if len(parts) != 2:
                 raise DataFormatError(f"{path}:{lineno}: expected 2 columns")
             try:
-                taus.append(float(parts[0]))
-                counts.append(float(parts[1]))
+                tau, count = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            if count < 0.0:
+                raise DataFormatError(f"{path}:{lineno}: counts must be non-negative, got {count!r}")
+            taus.append(tau)
+            counts.append(count)
     if not header_seen:
         raise DataFormatError(f"{path}: missing 'tau_s,counts' header")
     return np.asarray(taus), np.asarray(counts)

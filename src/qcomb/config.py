@@ -24,7 +24,6 @@ from .spectral import (
     FilterSpec,
     PhaseMatchShape,
     PhaseMatchSpec,
-    PumpMode,
     PumpSpec,
 )
 
@@ -42,7 +41,6 @@ FREQUENCY, NUMBER, INTEGER, STRING = "frequency", "number", "integer", "string"
 #: (attribute, JSON key, kind, required).
 SCHEMA = (
     ("pump", PumpSpec, True, (
-        ("mode", "mode", PumpMode, False),
         ("center_frequency", "center_frequency", FREQUENCY, True),
         ("linewidth", "linewidth", FREQUENCY, False),
     )),
@@ -94,6 +92,9 @@ class RunConfig:
     filter: FilterSpec | None = None
     output_dir: str = "out"
     seed: int = 0
+
+    def __post_init__(self):
+        self.grid.check_pump(self.pump)
 
 
 def _object(value, path, problems):

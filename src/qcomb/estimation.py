@@ -90,9 +90,16 @@ class FitProblem:
 
 @dataclass(frozen=True)
 class FitSettings:
+    """Search settings of ``fit_hom_trace``: ``starts`` Nelder-Mead starts,
+    the first from ``initial`` or the data and the others uniform draws in
+    the unit box of the bounds from ``seed``; each start stops at simplex
+    tolerance ``xatol`` in that box or after ``maxiter`` iterations (4 x
+    ``maxiter`` evaluations). ``qcomb fit`` sets the seed; the benchmark's
+    fit workload (``qbench/workloads.py``) sets the other three."""
+
     starts: int = 8
     seed: int = 0
-    xatol: float = 1e-9  # simplex tolerance in bound-normalized coordinates
+    xatol: float = 1e-9
     maxiter: int = 2000
 
     def __post_init__(self):

@@ -15,7 +15,7 @@ import math
 
 from .biphoton import SpectralGrid
 from .cavity import CavitySpec
-from .spectral import PhaseMatchSpec, PumpMode, PumpSpec
+from .spectral import PhaseMatchSpec, PumpSpec
 
 #: Cavity free spectral range (rad/s).
 FSR = 2.0 * math.pi * 19.2e9
@@ -47,7 +47,7 @@ def chip_pump(anti_resonant: bool = False) -> PumpSpec:
     """Monochromatic pump on an even (resonant) or odd (anti-resonant)
     multiple of the FSR: the paper's two symmetry settings (criterion 5)."""
     center = PUMP_ANTI_RESONANT if anti_resonant else PUMP_RESONANT
-    return PumpSpec(center_frequency=center, mode=PumpMode.MONOCHROMATIC)
+    return PumpSpec(center_frequency=center)
 
 
 def chip_phase_match(walkoff: float = 0.0, dispersion: float = 0.0) -> PhaseMatchSpec:

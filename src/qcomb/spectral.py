@@ -22,11 +22,6 @@ _LN2 = math.log(2.0)
 SINC_INTENSITY_HWHM = 1.3915573782515062
 
 
-class PumpMode(enum.Enum):
-    MONOCHROMATIC = "monochromatic"
-    GAUSSIAN_BROADBAND = "gaussian_broadband"
-
-
 class PhaseMatchShape(enum.Enum):
     SINC = "sinc"
     GAUSSIAN = "gaussian"
@@ -39,20 +34,21 @@ class FilterShape(enum.Enum):
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Pump laser: center frequency, mode, and intensity-FWHM linewidth."""
+    """Pump laser: center frequency and intensity-FWHM linewidth.
+
+    Linewidth 0 is a monochromatic pump, a delta at the center frequency;
+    a positive linewidth is the Gaussian broadband pump.
+    """
 
     center_frequency: float
-    mode: PumpMode = PumpMode.MONOCHROMATIC
     linewidth: float = 0.0
 
     def __post_init__(self):
         require_finite(self)
         if self.center_frequency <= 0:
             raise ValidationError("pump center_frequency must be positive")
-        if self.mode is PumpMode.MONOCHROMATIC and self.linewidth != 0.0:
-            raise ValidationError("PumpSpec.linewidth must be 0 for a monochromatic pump")
-        if self.mode is PumpMode.GAUSSIAN_BROADBAND and not self.linewidth > 0.0:
-            raise ValidationError("PumpSpec.linewidth must be positive for a broadband pump")
+        if self.linewidth < 0.0:
+            raise ValidationError(f"PumpSpec.linewidth must be 0 or positive, got {self.linewidth!r}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +90,10 @@ def eval_pump(spec: PumpSpec, omega_plus):
     """Pump spectral amplitude at the sum frequency.
 
     Unit peak at the pump center; the intensity FWHM equals the configured
-    linewidth. Monochromatic pumps are formal deltas and cannot be
-    point-evaluated.
+    linewidth. A monochromatic pump (linewidth 0) is a formal delta and
+    cannot be point-evaluated.
     """
-    if spec.mode is PumpMode.MONOCHROMATIC:
+    if spec.linewidth == 0.0:
         raise DeltaPumpError(
             "delta pump not evaluable; use the monochromatic 1D reduction"
         )
@@ -157,7 +153,7 @@ def phase_match_envelope(spec: PhaseMatchSpec, omega_minus):
     return np.exp(-2.0 * _LN2 * w * w / (spec.bandwidth**2))
 
 
-def eval_phase_match(spec: PhaseMatchSpec, omega_plus, omega_minus):
+def eval_phase_match(spec: PhaseMatchSpec, omega_minus):
     """Complex phase-matching amplitude.
 
     The envelope is even in the difference frequency; the spectral phase

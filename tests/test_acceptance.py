@@ -20,7 +20,6 @@ from qcomb.spectral import (
     FilterShape,
     FilterSpec,
     PhaseMatchSpec,
-    PumpMode,
     PumpSpec,
 )
 from conftest import gaussian_trace
@@ -207,11 +206,7 @@ def test_criterion_7_peak_count():
 def test_criterion_8_jsi_periodicity():
     fsr = presets.FSR
     cav = CavitySpec(fsr=fsr, reflectivity_signal=0.8, reflectivity_idler=0.8)
-    pump = PumpSpec(
-        center_frequency=presets.PUMP_RESONANT,
-        mode=PumpMode.GAUSSIAN_BROADBAND,
-        linewidth=40 * fsr,
-    )
+    pump = PumpSpec(center_frequency=presets.PUMP_RESONANT, linewidth=40 * fsr)
     grid = SpectralGrid(
         span_minus=8 * fsr,
         points_minus=1025,
@@ -219,7 +214,7 @@ def test_criterion_8_jsi_periodicity():
         points_plus=1025,
         center_plus=presets.PUMP_RESONANT,
     )
-    jsa = biphoton.assemble_jsa_broadband(pump, presets.chip_phase_match(), cav, grid)
+    jsa = biphoton.assemble_jsa(pump, presets.chip_phase_match(), cav, grid)
     intensity = biphoton.jsi(jsa)
     spectrum = np.fft.fft2(intensity - intensity.mean())
     autocorr = np.real(np.fft.ifft2(np.abs(spectrum) ** 2))

@@ -21,7 +21,6 @@ from qcomb.spectral import (
     FilterSpec,
     PhaseMatchShape,
     PhaseMatchSpec,
-    PumpMode,
     PumpSpec,
 )
 from conftest import FSR
@@ -105,12 +104,8 @@ class TestSpectralGrid:
 
 class TestAssembly:
     def test_mono_rejects_broadband_pump(self, fast_phase_match, fast_cavity, fast_grid):
-        pump = PumpSpec(
-            center_frequency=200 * FSR,
-            mode=PumpMode.GAUSSIAN_BROADBAND,
-            linewidth=FSR,
-        )
-        with pytest.raises(ValidationError):
+        pump = PumpSpec(center_frequency=200 * FSR, linewidth=FSR)
+        with pytest.raises(ValidationError, match="does not pair with a 1D grid"):
             biphoton.assemble_jsa_mono(pump, fast_phase_match, fast_cavity, fast_grid)
 
     def test_non_finite_state_rejected(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
@@ -159,24 +154,22 @@ class TestAssembly:
         assert value_at(1 * FSR) > 20 * value_at(2 * FSR)
         assert value_at(1 * FSR) > 20 * value_at(0.0)
 
-    def test_broadband_requires_2d_grid(self, fast_phase_match, fast_cavity, fast_grid):
-        pump = PumpSpec(
-            center_frequency=200 * FSR,
-            mode=PumpMode.GAUSSIAN_BROADBAND,
-            linewidth=10 * FSR,
-        )
-        with pytest.raises(ValidationError):
-            biphoton.assemble_jsa_broadband(
-                pump, fast_phase_match, fast_cavity, fast_grid
-            )
+    @pytest.mark.parametrize(
+        "linewidth, two_d", [(10 * FSR, False), (0.0, True)], ids=["broadband-1d", "monochromatic-2d"]
+    )
+    def test_pump_must_pair_with_grid(
+        self, fast_phase_match, fast_cavity, fast_grid, linewidth, two_d
+    ):
+        pump = PumpSpec(center_frequency=200 * FSR, linewidth=linewidth)
+        grid = fast_grid
+        if two_d:
+            grid = dataclasses.replace(grid, span_plus=4 * FSR, points_plus=5, center_plus=200 * FSR)
+        with pytest.raises(ValidationError, match="a monochromatic pump \\(linewidth 0\\) takes a 1D grid"):
+            biphoton.assemble_jsa(pump, fast_phase_match, fast_cavity, grid)
 
     def test_broadband_checkerboard_norm_positive(self, fast_phase_match):
         cav = CavitySpec(fsr=FSR, reflectivity_signal=0.5, reflectivity_idler=0.5)
-        pump = PumpSpec(
-            center_frequency=200 * FSR,
-            mode=PumpMode.GAUSSIAN_BROADBAND,
-            linewidth=10 * FSR,
-        )
+        pump = PumpSpec(center_frequency=200 * FSR, linewidth=10 * FSR)
         grid = SpectralGrid(
             span_minus=8 * FSR,
             points_minus=257,
@@ -184,9 +177,31 @@ class TestAssembly:
             points_plus=257,
             center_plus=200 * FSR,
         )
-        jsa = biphoton.assemble_jsa_broadband(pump, fast_phase_match, cav, grid)
+        jsa = biphoton.assemble_jsa(pump, fast_phase_match, cav, grid)
         assert jsa.norm_squared > 0
         assert jsa.amplitudes.shape == (257, 257)
+        assert jsa.applied_factors == ("pump", "phase_match", "cavity")
+
+    def test_broadband_jsi_without_mirrors_is_pump_times_phase_match(self, fast_phase_match):
+        # With both reflectivities 0 the Airy factor is a pure phase, so the
+        # 2D intensity is the pump's times the phase matching's.
+        cav = CavitySpec(fsr=FSR, reflectivity_signal=0.0, reflectivity_idler=0.0)
+        pump = PumpSpec(center_frequency=200 * FSR, linewidth=3 * FSR)
+        grid = SpectralGrid(
+            span_minus=8 * FSR,
+            points_minus=33,
+            center_minus=0.3 * FSR,
+            span_plus=6 * FSR,
+            points_plus=17,
+            center_plus=200.5 * FSR,
+        )
+        pm = dataclasses.replace(fast_phase_match, walkoff=2e-12, dispersion=1e-24)
+        intensity = biphoton.jsi(biphoton.assemble_jsa(pump, pm, cav, grid))
+        expected = (
+            np.abs(spectral.eval_pump(pump, grid.omega_plus()))[:, None] ** 2
+            * spectral.phase_match_envelope(pm, grid.omega_minus())[None, :] ** 2
+        )
+        np.testing.assert_allclose(intensity, expected, rtol=1e-12, atol=0.0)
 
     def test_norm_is_computed_once(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
         jsa = biphoton.assemble_jsa_mono(
@@ -279,7 +294,7 @@ def forbid_states(monkeypatch):
 
         return refused
 
-    for name in ("_assemble", "assemble_jsa_mono", "apply_delay", "exchange_kernel"):
+    for name in ("assemble_jsa", "assemble_jsa_mono", "apply_delay", "exchange_kernel"):
         monkeypatch.setattr(biphoton, name, refuse(name))
 
 
@@ -460,8 +475,8 @@ class TestExchangeKernelModel:
 
     def test_rejects_what_assembly_rejects(self, resonant_pump, fast_phase_match, fast_cavity, fast_grid):
         model = biphoton.exchange_kernel_model
-        broadband = PumpSpec(center_frequency=200 * FSR, mode=PumpMode.GAUSSIAN_BROADBAND, linewidth=FSR)
-        with pytest.raises(ValidationError, match="monochromatic pump"):
+        broadband = PumpSpec(center_frequency=200 * FSR, linewidth=FSR)
+        with pytest.raises(ValidationError, match="does not pair with a 1D grid"):
             model(broadband, fast_phase_match, fast_cavity, fast_grid)
         two_d = dataclasses.replace(fast_grid, span_plus=4 * FSR, points_plus=5, center_plus=200 * FSR)
         with pytest.raises(ValidationError, match="1D grid"):
@@ -509,7 +524,7 @@ class TestJsiSymmetryPayload:
 
 #: One valid instance of each spec dataclass with float fields.
 SPECS = [
-    PumpSpec(center_frequency=200 * FSR, mode=PumpMode.GAUSSIAN_BROADBAND, linewidth=FSR),
+    PumpSpec(center_frequency=200 * FSR, linewidth=FSR),
     PhaseMatchSpec(degeneracy_frequency=100 * FSR, bandwidth=4 * FSR, walkoff=1e-12, dispersion=1e-24),
     FilterSpec(center=100 * FSR, bandwidth=FSR),
     CavitySpec(fsr=FSR, reflectivity_signal=0.4, reflectivity_idler=0.3, resonance_offset=0.1 * FSR),

@@ -118,11 +118,13 @@ class TestParseConfig:
             ),
             (lambda d: d.update(seed="1"), ["config.seed: expected a integer"]),
             (lambda d: d.update(output_dir=5), ["config.output_dir: expected a string"]),
-            (lambda d: d["pump"].update(mode=3), ["config.pump.mode: expected a string"]),
+            (lambda d: d["phase_match"].update(shape=3), ["config.phase_match.shape: expected a string"]),
             (
-                lambda d: d["pump"].update(mode="pulsed"),
-                ["config.pump.mode: must be one of monochromatic, gaussian_broadband"],
+                lambda d: d["phase_match"].update(shape="box"),
+                ["config.phase_match.shape: must be one of sinc, gaussian"],
             ),
+            # A linewidth alone sets the pump; there is no mode key.
+            (lambda d: d["pump"].update(mode="monochromatic"), ["config.pump.mode: unknown key"]),
             (
                 lambda d: d.update(filter={"center_ghz": 1.0, "bandwidth_ghz": 1.0, "shape": "box"}),
                 ["config.filter.shape: must be one of gaussian, tophat"],
@@ -149,8 +151,9 @@ class TestParseConfig:
         ],
         ids=[
             "unsupported-unit", "frequency-not-number", "bool-not-number", "float-not-integer",
-            "string-not-integer", "not-string", "enum-not-string", "pump-mode-not-member",
-            "filter-shape-not-member", "filter-not-object", "section-before-root-scalars",
+            "string-not-integer", "not-string", "enum-not-string", "phase-match-shape-not-member",
+            "pump-mode-unknown", "filter-shape-not-member", "filter-not-object",
+            "section-before-root-scalars",
         ],
     )
     def test_problem_messages(self, mutate, problems):
@@ -254,7 +257,7 @@ class TestCli:
 
     def test_jsi_points_override_2d(self, tmp_path):
         doc = small_config_doc()
-        doc["pump"].update(mode="gaussian_broadband", linewidth_ghz=40 * FSR_GHZ)
+        doc["pump"].update(linewidth_ghz=40 * FSR_GHZ)
         doc["grid"] = {
             "span_minus_ghz": 4 * FSR_GHZ,
             "points_minus": 129,
@@ -376,8 +379,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["hom", "sweep", "fit"])
     def test_2d_grid_refused_before_assembly(self, tmp_path, capsys, monkeypatch, command):
         assembled = []
-        assemble = biphoton._assemble
-        monkeypatch.setattr(biphoton, "_assemble", lambda *a: assembled.append(a) or assemble(*a))
+        assemble = biphoton.assemble_jsa
+        monkeypatch.setattr(biphoton, "assemble_jsa", lambda *a: assembled.append(a) or assemble(*a))
         doc = json.loads((GOLDEN / "broadband_2d" / "config.json").read_text())
         if command != "hom":
             del doc["filter"]  # sweep and fit refuse a filter first
@@ -417,8 +420,8 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch, command, grid_change, flags
     ):
         assembled = []
-        assemble = biphoton._assemble
-        monkeypatch.setattr(biphoton, "_assemble", lambda *a: assembled.append(a) or assemble(*a))
+        assemble = biphoton.assemble_jsa
+        monkeypatch.setattr(biphoton, "assemble_jsa", lambda *a: assembled.append(a) or assemble(*a))
         doc = small_config_doc()
         doc["grid"].update(grid_change)
         out = tmp_path / "out"
@@ -447,18 +450,40 @@ class TestCli:
         assert "qcomb: error: --seed is read only by fit" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "mode, linewidth_ghz",
-        [("gaussian_broadband", None), ("gaussian_broadband", 0.0), ("monochromatic", 50.0)],
-    )
-    def test_pump_linewidth_must_match_mode(self, tmp_path, capsys, mode, linewidth_ghz):
+    def test_negative_pump_linewidth_refused(self, tmp_path, capsys):
         doc = small_config_doc()
-        doc["pump"]["mode"] = mode
-        if linewidth_ghz is not None:
-            doc["pump"]["linewidth_ghz"] = linewidth_ghz
+        doc["pump"]["linewidth_ghz"] = -50.0
         out = tmp_path / "out"
         assert cli.main(["hom", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
         assert "PumpSpec.linewidth" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, grid_shape",
+        [("jsi", "1d"), ("hom", "1d"), ("sweep", "1d"), ("fit", "1d"), ("jsi", "2d")],
+    )
+    def test_unpaired_pump_refused_before_assembly(
+        self, tmp_path, capsys, monkeypatch, command, grid_shape
+    ):
+        # A positive linewidth on a 1D grid, or linewidth 0 on a 2D grid.
+        assembled = []
+        assemble = biphoton.assemble_jsa
+        monkeypatch.setattr(biphoton, "assemble_jsa", lambda *a: assembled.append(a) or assemble(*a))
+        if grid_shape == "1d":
+            doc = small_config_doc()
+            doc["pump"]["linewidth_ghz"] = 50.0
+        else:
+            doc = json.loads((GOLDEN / "broadband_2d" / "config.json").read_text())
+            del doc["pump"]["linewidth_ghz"]
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+        if command == "fit":
+            data = tmp_path / "data.csv"
+            data.write_text("tau_s,counts\n" + "".join(f"{k}e-13,{500 + k % 3}\n" for k in range(-8, 9)))
+            argv += ["--data", str(data)]
+        assert cli.main(argv) == 1
+        assert "a monochromatic pump (linewidth 0) takes a 1D grid" in capsys.readouterr().err
+        assert assembled == []
         assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
@@ -596,6 +621,16 @@ class TestCli:
              "--data", str(tmp_path / "missing.csv")]
         )
         assert code == 2
+
+    def test_fit_refuses_negative_counts(self, tmp_path, capsys):
+        # The default fit bounds assume counts >= 0.
+        cfg = write_config(tmp_path, small_config_doc())
+        data = tmp_path / "negative.csv"
+        data.write_text("tau_s,counts\n" + "".join(f"{k}e-14,{-1000 - k}\n" for k in range(41)))
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 2
+        assert f"{data}:2: counts must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_malformed_row_names_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_config_doc())

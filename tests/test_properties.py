@@ -22,7 +22,6 @@ from qcomb.spectral import (
     FilterSpec,
     PhaseMatchShape,
     PhaseMatchSpec,
-    PumpMode,
     PumpSpec,
 )
 from conftest import FSR
@@ -134,7 +133,7 @@ def run_configs(draw):
     fsr = draw(positive_freq)
     points_minus = draw(points)
     if draw(st.booleans()):  # a 2D grid, at any w- centre and count, and a broadband pump
-        pump = PumpSpec(1000 * fsr, PumpMode.GAUSSIAN_BROADBAND, draw(positive_freq))
+        pump = PumpSpec(1000 * fsr, draw(positive_freq))
         # The grid holds at most MAX_POINTS samples over both axes.
         points_plus = draw(st.integers(min_value=3, max_value=biphoton.MAX_POINTS // points_minus))
         plus = dict(span_plus=draw(positive_freq), points_plus=points_plus, center_plus=1000 * fsr)
