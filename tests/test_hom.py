@@ -1,3 +1,4 @@
+import json
 import math
 import weakref
 from dataclasses import replace
@@ -58,15 +59,15 @@ def jittered(delays, fraction, seed=0):
 
 @pytest.fixture
 def plan_builds(monkeypatch):
-    """Arguments of every chirp-z plan built during the test."""
+    """The (omega, delays) axes of every chirp-z plan built during the test."""
     builds = []
-    build = hom.CZT
+    build = hom._chirp_z_plan
 
-    def counting(**kwargs):
-        builds.append(kwargs)
-        return build(**kwargs)
+    def counting(omega, delays):
+        builds.append((omega, delays))
+        return build(omega, delays)
 
-    monkeypatch.setattr(hom, "CZT", counting)
+    monkeypatch.setattr(hom, "_chirp_z_plan", counting)
     return builds
 
 
@@ -140,9 +141,8 @@ def full_grid_trace(jsa, delays):
 
 
 class TestHalfSpectrum:
-    # On the chip state the full-grid chirp-z plan of earlier versions was
-    # 1.6e-10 from the direct sum on the linspace axis; the half plan,
-    # with its smaller chirp phases, is 3.0e-11.
+    # On the chip state the half plan is 1.1e-15 from the full-grid direct
+    # sum on the linspace axis.
     @pytest.mark.parametrize("jitter", [0.0, 0.2])
     def test_chip_trace_matches_full_grid_direct_sum(self, chip_state, plan_builds, jitter):
         jsa, delays = chip_state
@@ -150,8 +150,8 @@ class TestHalfSpectrum:
             delays = jittered(delays, jitter)
         p = hom.coincidence_trace(jsa, delays).p_coincidence
         assert len(plan_builds) == 1
-        assert plan_builds[0]["n"] == jsa.grid.points_minus // 2 + 1
-        assert np.max(np.abs(p - full_grid_trace(jsa, delays))) < 1e-10
+        assert plan_builds[0][0].size == jsa.grid.points_minus // 2 + 1
+        assert np.max(np.abs(p - full_grid_trace(jsa, delays))) < 1e-12
 
     def test_chip_direct_path_matches_full_grid_direct_sum(self, chip_state, plan_builds):
         jsa, delays = chip_state
@@ -198,6 +198,41 @@ class TestHalfSpectrum:
         assert np.array_equal(trace.delays, np.linspace(-1e-12, 1e-12, 101))
 
 
+def long_double_transform(h, omega, delays):
+    """2 Re sum h exp(-i omega tau), summed in long double: the transform's oracle."""
+    h, omega = h.astype(np.clongdouble), omega.astype(np.longdouble)
+    return np.array([2.0 * np.real(np.sum(h * np.exp(-1j * omega * t))) for t in np.asarray(delays, np.longdouble)])
+
+
+class TestLongDoubleOracle:
+    # The chirp-z plan's tables come from ``spectral.uniform_cis``; a plan
+    # whose chirp is a complex power w**(k**2/2) of one rounded unit number
+    # (``scipy.signal.CZT``) is 4.5e-11 to 5.9e-11 from the long-double sum
+    # on the three chip axes.
+    @pytest.mark.parametrize("axis", ["linspace", "jittered", "decreasing"])
+    def test_chip_transform_matches_long_double_sum(self, chip_state, plan_builds, axis):
+        jsa, delays = chip_state
+        if axis == "jittered":  # +-1 fs on a 2.2 fs step: the Taylor path
+            delays = delays + np.random.default_rng(0).uniform(-1e-15, 1e-15, delays.size)
+        elif axis == "decreasing":
+            delays = delays[::-1]
+        h = biphoton.exchange_kernel(jsa)
+        out = hom.delay_transform(jsa.grid, delays)(h)
+        assert len(plan_builds) == 1
+        sample = np.linspace(0, delays.size - 1, 21).astype(int)
+        omega = jsa.grid.omega_minus()[jsa.grid.points_minus // 2 :]
+        assert np.max(np.abs(out[sample] - long_double_transform(h, omega, delays[sample]))) <= 1e-12
+
+    def test_more_delays_than_half_grid_samples(self, plan_builds):
+        jsa = gaussian_state(points=101)
+        delays = np.linspace(-5 / SIGMA, 5 / SIGMA, 401)
+        h = biphoton.exchange_kernel(jsa)
+        out = hom.delay_transform(jsa.grid, delays)(h)
+        assert len(plan_builds) == 1 and plan_builds[0][0].size == 51
+        omega = jsa.grid.omega_minus()[50:]
+        assert np.max(np.abs(out - long_double_transform(h, omega, delays))) <= 1e-12
+
+
 class TestPlanBuilds:
     def test_calibration_builds_one_plan(
         self, plan_builds, resonant_pump, fast_phase_match, fast_cavity, fast_grid
@@ -215,14 +250,14 @@ class TestPlanBuilds:
 
     def test_a_plan_lives_as_long_as_its_transform(self, monkeypatch):
         plans = []
-        build = hom.CZT
+        build = hom._chirp_z_plan
 
-        def watched(**kwargs):
-            plan = build(**kwargs)
+        def watched(omega, delays):
+            plan = build(omega, delays)
             plans.append(weakref.ref(plan))
             return plan
 
-        monkeypatch.setattr(hom, "CZT", watched)
+        monkeypatch.setattr(hom, "_chirp_z_plan", watched)
         jsa = gaussian_state(points=1001)
         delays = np.linspace(-4 / SIGMA, 4 / SIGMA, 64)
         first = hom.coincidence_trace(jsa, delays).p_coincidence
@@ -277,6 +312,19 @@ class TestTraceBasics:
         )
         assert trace.extremum_kind == hom.PEAK
         assert trace.extremum == pytest.approx(1.0, abs=1e-9)
+
+    def test_probability_stays_in_the_unit_interval(self):
+        # A pure symmetric (antisymmetric) state reaches 0 (1) where roundoff
+        # can overshoot; on this state's 401-delay CLI axis it once wrote
+        # P = -1.7e-13, which ``qcomb fit`` refuses as a negative count.
+        cfg = config.parse_config(json.dumps(small_config_doc()))
+        jsa = biphoton.assemble_jsa_mono(cfg.pump, cfg.phase_match, cfg.cavity, cfg.grid)
+        for state, delays in [
+            (jsa, cli._delay_axis(cfg, 401)),
+            (antisymmetric_state(), np.linspace(-5 / SIGMA, 5 / SIGMA, 501)),
+        ]:
+            p = hom.coincidence_trace(state, delays).p_coincidence
+            assert 0.0 <= p.min() and p.max() <= 1.0
 
     def test_trace_even_in_delay(self):
         delays = np.linspace(-4 / SIGMA, 4 / SIGMA, 401)
