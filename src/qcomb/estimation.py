@@ -200,7 +200,9 @@ def fit_hom_trace(
         n: bool(u_opt[i] < 1e-6 or u_opt[i] > 1.0 - 1e-6)
         for i, n in enumerate(PARAMETER_NAMES)
     }
-    confidence = _confidence_proxy(rss, u_opt, width, residual, counts.size)
+    # The centre node from rss too: the projected residual differs from it by
+    # roundoff, which reads as a curvature along a flat direction.
+    confidence = _confidence_proxy(rss, u_opt, width, rss(u_opt), counts.size)
     result = FitResult(
         parameters=parameters,
         clipped=clipped,

@@ -4,9 +4,8 @@ The coincidence probability against the interferometer delay is
 P_c(tau) = 1/2 - 1/2 * Re[ sum C(w) C*(-w) exp(-i w tau) step ] / norm^2,
 so symmetric states dip to 0 and anti-symmetric states peak at 1. The sum
 is taken over the w >= 0 half, on the half kernel h of
-``biphoton.exchange_kernel``, by a chirp-z plan on ``scipy.fft`` built
-from exact ``spectral.uniform_cis`` phasor tables, which keep it within
-1e-12 of a long-double direct sum (``delay_transform``).
+``biphoton.exchange_kernel``, by a block-moment plan of small numpy matrix
+products, within 1e-12 of a long-double direct sum (``delay_transform``).
 """
 
 from __future__ import annotations
@@ -16,12 +15,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import biphoton as _biphoton
 from .biphoton import Jsa, SpectralGrid
 from .errors import ResolutionError, UndefinedVisibilityError, ValidationError
-from .spectral import uniform_cis
+from .spectral import cis, uniform_cis
 
 DIP = "dip"
 PEAK = "peak"
@@ -42,110 +40,111 @@ class HomTrace:
     extremum_kind: str
 
 
-#: Truncation bound of the Taylor series in ``delay_transform``.
+#: Bound on x^P / P!, and so on the truncation error, of ``delay_transform``.
 TAYLOR_TOL = 1e-17
+
+#: Bytes the coarse phasor matrices of one ``delay_transform`` may hold,
+#: beside 16 per delay; a wider or denser axis is cut into more windows.
+_PLAN_BYTES = 2**24
 
 
 def delay_transform(grid: SpectralGrid, delays):
-    """Reusable map h -> 2 Re sum_n h_n exp(-i omega_n tau_k), a real array.
+    """Reusable map h -> 2 Re sum_j h_j exp(-i omega_j tau_k), a real array.
 
-    h is a half kernel (``biphoton.exchange_kernel``) on the w- >= 0 half
-    omega = ``grid.omega_minus()[c:]``, c the centre index, so the map sums
+    h is a half kernel (``biphoton.exchange_kernel``) on the w- >= 0 half,
+    omega_j = j d_omega with d_omega = ``grid.step_minus``, so the map sums
     the Hermitian kernel over the whole grid. The grid must be 1D, hence
     symmetric about w- = 0, and the delays a 1D axis of at least 2 finite
-    values. The map carries that axis as ``.delays`` and refuses, with
-    ``ValidationError``, an h of other than ``grid.points_minus // 2 + 1``
-    samples. Two paths:
+    values in any order. The map carries that axis as ``.delays`` and
+    refuses, with ``ValidationError``, an h of other than
+    ``grid.points_minus // 2 + 1`` samples.
 
-    - an axis whose offsets delta from ref = linspace(tau_0, tau_last, m)
-      satisfy x = max|omega| max|delta| <= 1 gets the Taylor series
-      sum_p (-i delta)^p / p! T_ref(h omega^p) on the chirp-z plan of
-      ref, with the fewest terms P for which x^P / P! <= ``TAYLOR_TOL``.
-      That bounds the truncation error for any h with 2 sum |h| <= 1, as
-      every exchange kernel has (Cauchy-Schwarz). An axis that is
-      its own linspace takes one term, one plan apply;
-    - any other axis gets the direct sum.
+    One block-moment plan serves every axis (the Taylor-expansion approach
+    to the non-uniform DFT; Anderson and Dahleh, SIAM J. Sci. Comput. 17
+    (1996) 913). The axis is cut into equal windows tau = tau_c + s,
+    |s| <= S, and h into blocks of B samples, omega = Omega_b + delta, with
+    B the largest for which x = delta_max S <= 1, delta_max = (B - 1)
+    d_omega / 2. Then
 
-    The chirp-z plan (``_chirp_z_plan``) builds its chirp and input weights
-    as ``spectral.uniform_cis`` tables, so each entry carries only the
-    rounding of its own phase; a chirp raised as a complex power of one
-    rounded unit number has an angle error that grows with k^2. On the
-    golden chip state (32 769 half-grid samples, 401 delays) the map is
-    within 3e-15 of a long-double direct sum; the tests hold it to 1e-12.
+        T(tau) = sum_p (-i s delta_max)^p / p! sum_b exp(-i Omega_b s) M[b, p],
+        M[b, p] = sum_delta h_j exp(-i omega_j tau_c) (delta / delta_max)^p,
 
-    The plan lives as long as the returned map, so a caller that transforms
-    onto one axis again and again builds the map once and keeps it.
+    so an apply is, per window, one (blocks x B) @ (B x P) moment product
+    on the real and imaginary parts and one coarse product against phasors
+    built once. P is the fewest terms with x^P / P! <= ``TAYLOR_TOL``: the
+    truncation error is at most x^P / P! 2 sum |h|, and 2 sum |h| <= 1 for
+    every exchange kernel (Cauchy-Schwarz). On the golden chip state
+    (32 769 half-grid samples, 401 delays) the map is within 4e-16 of a
+    long-double direct sum; the tests hold it to 1e-12.
+
+    The window count balances one moment product per window against the
+    coarse phasors (delays x blocks), and rises until those fit in
+    ``_PLAN_BYTES``. The plan lives as long as the returned map, so a caller
+    that transforms onto one axis again and again builds the map once.
     """
     if grid.is_two_dimensional:
         raise ValidationError("the delay transform is defined for 1D grids")
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 2:
         raise ValidationError("delay_transform needs a 1D axis of at least 2 delays")
-    if not np.all(np.isfinite(delays)):
-        raise ValidationError("delay_transform needs finite delays")
-    omega = grid.omega_minus()[grid.points_minus // 2 :]
-    m = delays.size
-    ref = np.linspace(delays[0], delays[-1], m)
-    offset = delays - ref
-    scale = float(np.max(np.abs(omega)))
-    x = scale * float(np.max(np.abs(offset)))
-    if x > 1.0:
-
-        def apply(h):  # the direct sum
-            return 2.0 * np.array([np.real(np.sum(h * np.exp(-1j * omega * t))) for t in delays])
-
-    else:
-        plan = _chirp_z_plan(omega, ref)
-        terms = 1
-        while x**terms / math.factorial(terms) > TAYLOR_TOL:
-            terms += 1
-        u = omega / scale
-        ratio = -1j * scale * offset
-
-        def apply(h):  # the Taylor series on the chirp-z plan
-            out = plan(h)
-            coef = np.ones(m, dtype=complex)
-            for p in range(1, terms):
-                h = h * u
-                coef = coef * ratio / p
-                out += coef * plan(h)
-            return 2.0 * np.real(out)
+    if not math.isfinite(float(delays.max()) - float(delays.min())):  # no NaN, no infinite span
+        raise ValidationError("delay_transform needs finite delays with a finite span")
+    n = grid.points_minus // 2 + 1
+    apply = _block_plan(n, grid.step_minus, delays)
 
     def transform(h):
-        if np.shape(h) != omega.shape:
-            raise ValidationError(f"the half kernel needs {omega.size} samples, got {np.shape(h)}")
+        if np.shape(h) != (n,):
+            raise ValidationError(f"the half kernel needs {n} samples, got {np.shape(h)}")
         return apply(h)
 
     transform.delays = delays
     return transform
 
 
-def _chirp_z_plan(omega, delays):
-    """h -> sum_k h_k exp(-i omega_k tau_j) for uniform omega and delays,
-    as one FFT convolution (Bluestein's chirp-z layout).
+def _block_plan(n, step, delays):
+    """The plan of ``delay_transform`` for n half-grid samples. A window
+    holds its rows of the coarse phasors exp(-i step (b B tau + (B - 1) s / 2))
+    and of the Taylor weights, and its in-block phasors exp(-i l step tau_c)."""
+    m = delays.size
+    lo, width = delays.min(), np.ptp(delays)
+    full = n * step * width / 4.0  # blocks of one window over the whole axis
+    count = int(max(1.0, math.sqrt(m * full / n), 16.0 * m * full / _PLAN_BYTES + 1.0))
+    index = np.minimum((delays - lo) // (width / count), count - 1) if width else np.zeros(m)
+    centre = lo + (index + 0.5) * (width / count)
+    s = delays - centre
+    size = n if step * width * n <= 4.0 * count else int(4.0 * count / (step * width)) + 1
+    blocks = -(-n // size)
+    half = (size - 1) / 2.0
+    x = half * step * float(np.max(np.abs(s)))
+    terms = 1
+    while x**terms / math.factorial(terms) > TAYLOR_TOL:
+        terms += 1
+    powers = np.linspace(-1.0, 1.0, size)[:, None] ** np.arange(terms)
+    ratios = np.outer(-1j * half * step * s, 1.0 / np.arange(1, terms))
+    taylor = np.cumprod(np.hstack((np.ones((m, 1)), ratios)), axis=1)
+    order = np.argsort(index, kind="stable")
+    windows = [
+        (
+            rows,
+            uniform_cis(-step * centre[rows[0]], size),
+            cis(-step * (np.outer(delays[rows], size * np.arange(blocks)) + half * s[rows, None])),
+            taylor[rows],
+        )
+        for rows in np.split(order, np.flatnonzero(np.diff(index[order])) + 1)
+    ]
 
-    With theta = d_omega d_tau, k j = (k^2 + j^2 - (j - k)^2) / 2 splits the
-    kernel into the chirp exp(-i theta k^2 / 2) on input and output and the
-    conjugate chirp as the filter; exp(-i omega_0 tau_j) is folded into the
-    output chirp. The plan holds one array each of input weights (n),
-    filter spectrum (``scipy.fft.next_fast_len(n + m - 1)``) and output
-    chirp (m).
-    """
-    n, m = omega.size, delays.size
-    dw = (omega[-1] - omega[0]) / (n - 1)
-    chirp = uniform_cis(-dw * (delays[-1] - delays[0]) / (m - 1) / 2.0, max(n, m), power=2)
-    weights = uniform_cis(-dw * delays[0], n) * chirp[:n]
-    size = scipy.fft.next_fast_len(n + m - 1)
-    filt = np.zeros(size, dtype=complex)
-    filt[:m] = np.conj(chirp[:m])
-    filt[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
-    spectrum = scipy.fft.fft(filt)
-    post = chirp[:m] * np.exp(-1j * omega[0] * delays)
+    def apply(h):
+        out = np.empty(m)
+        for rows, inner, coarse, weights in windows:
+            phased = np.zeros((blocks, size), dtype=complex)
+            phased.ravel()[:n] = h
+            phased *= inner  # in place: a second n-sample temporary costs more than this product
+            real, imag = np.ascontiguousarray(phased.real), np.ascontiguousarray(phased.imag)
+            moments = real @ powers + 1j * (imag @ powers)
+            out[rows] = 2.0 * np.real(np.sum(weights * (coarse @ moments), axis=1))
+        return out
 
-    def plan(h):
-        return scipy.fft.ifft(scipy.fft.fft(h * weights, size) * spectrum)[:m] * post
-
-    return plan
+    return apply
 
 
 def coincidence_probability(h, transform):

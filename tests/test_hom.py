@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -59,15 +60,15 @@ def jittered(delays, fraction, seed=0):
 
 @pytest.fixture
 def plan_builds(monkeypatch):
-    """The (omega, delays) axes of every chirp-z plan built during the test."""
+    """The (half-grid samples, step, delays) of every block plan built during the test."""
     builds = []
-    build = hom._chirp_z_plan
+    build = hom._block_plan
 
-    def counting(omega, delays):
-        builds.append((omega, delays))
-        return build(omega, delays)
+    def counting(n, step, delays):
+        builds.append((n, step, delays))
+        return build(n, step, delays)
 
-    monkeypatch.setattr(hom, "_chirp_z_plan", counting)
+    monkeypatch.setattr(hom, "_block_plan", counting)
     return builds
 
 
@@ -79,16 +80,16 @@ class TestGaussianOracle:
         expected = gaussian_trace(SIGMA, delays)
         assert np.max(np.abs(trace.p_coincidence - expected)) < 1e-6
 
-    def test_non_uniform_delays_use_direct_sum(self, plan_builds):
+    def test_non_uniform_delays_match_closed_form(self, plan_builds):
         jsa = gaussian_state(points=1001)
         delays = np.array([-3.0, -0.5, 0.0, 0.7, 1.1, 2.9, 4.0, 4.5, 5.0]) / SIGMA
         trace = hom.coincidence_trace(jsa, delays)
         expected = gaussian_trace(SIGMA, delays)
         assert np.max(np.abs(trace.p_coincidence - expected)) < 1e-6
-        assert plan_builds == []
+        assert len(plan_builds) == 1
 
     @pytest.mark.parametrize("m", [2, 5, 64])
-    def test_uniform_and_direct_paths_agree(self, plan_builds, m):
+    def test_uniform_axis_matches_direct_sum(self, plan_builds, m):
         jsa = gaussian_state(points=1001)
         delays = np.linspace(-4 / SIGMA, 4 / SIGMA, m)
         fast = hom.coincidence_trace(jsa, delays).p_coincidence
@@ -141,7 +142,7 @@ def full_grid_trace(jsa, delays):
 
 
 class TestHalfSpectrum:
-    # On the chip state the half plan is 1.1e-15 from the full-grid direct
+    # On the chip state the half plan is 3.9e-16 from the full-grid direct
     # sum on the linspace axis.
     @pytest.mark.parametrize("jitter", [0.0, 0.2])
     def test_chip_trace_matches_full_grid_direct_sum(self, chip_state, plan_builds, jitter):
@@ -150,14 +151,14 @@ class TestHalfSpectrum:
             delays = jittered(delays, jitter)
         p = hom.coincidence_trace(jsa, delays).p_coincidence
         assert len(plan_builds) == 1
-        assert plan_builds[0][0].size == jsa.grid.points_minus // 2 + 1
+        assert plan_builds[0][0] == jsa.grid.points_minus // 2 + 1
         assert np.max(np.abs(p - full_grid_trace(jsa, delays))) < 1e-12
 
-    def test_chip_direct_path_matches_full_grid_direct_sum(self, chip_state, plan_builds):
+    def test_chip_scattered_delays_match_full_grid_direct_sum(self, chip_state, plan_builds):
         jsa, delays = chip_state
         delays = delays[[0, 3, 50, 51, 200, 201, 260, 400]]
         p = hom.coincidence_trace(jsa, delays).p_coincidence
-        assert plan_builds == []
+        assert len(plan_builds) == 1
         assert np.max(np.abs(p - full_grid_trace(jsa, delays))) < 1e-12
 
     @pytest.mark.parametrize("delays", [np.linspace(-2.0, 2.0, 33), [-2.0, 0.1, 0.5, 2.0]])
@@ -179,12 +180,12 @@ class TestHalfSpectrum:
             hom.delay_transform(grid, [0.0, 1.0])
 
     @pytest.mark.parametrize(
-        "delays, plans", [(np.linspace(-2.0, 2.0, 33), 1), ([-2.0, 0.1, 0.5, 2.0], 0)], ids=["chirp_z", "direct"]
+        "delays", [np.linspace(-2.0, 2.0, 33), [-2.0, 0.1, 0.5, 2.0]], ids=["uniform", "scattered"]
     )
     @pytest.mark.parametrize("size", [50, 52, 101])
-    def test_kernel_of_another_length_rejected(self, plan_builds, delays, plans, size):
+    def test_kernel_of_another_length_rejected(self, plan_builds, delays, size):
         transform = hom.delay_transform(SpectralGrid(span_minus=6.0, points_minus=101), delays)
-        assert len(plan_builds) == plans
+        assert len(plan_builds) == 1
         with pytest.raises(ValidationError, match=f"the half kernel needs 51 samples, got \\({size},\\)"):
             transform(np.ones(size, dtype=complex))
         with pytest.raises(ValidationError, match="the half kernel needs 51 samples"):
@@ -205,14 +206,13 @@ def long_double_transform(h, omega, delays):
 
 
 class TestLongDoubleOracle:
-    # The chirp-z plan's tables come from ``spectral.uniform_cis``; a plan
-    # whose chirp is a complex power w**(k**2/2) of one rounded unit number
-    # (``scipy.signal.CZT``) is 4.5e-11 to 5.9e-11 from the long-double sum
-    # on the three chip axes.
+    # The block plan builds every phasor from its own phase and sums at most
+    # B terms of |h| per moment; on the three chip axes it is 3.3e-16 to
+    # 3.7e-16 from the long-double sum.
     @pytest.mark.parametrize("axis", ["linspace", "jittered", "decreasing"])
     def test_chip_transform_matches_long_double_sum(self, chip_state, plan_builds, axis):
         jsa, delays = chip_state
-        if axis == "jittered":  # +-1 fs on a 2.2 fs step: the Taylor path
+        if axis == "jittered":  # +-1 fs on a 2.2 fs step
             delays = delays + np.random.default_rng(0).uniform(-1e-15, 1e-15, delays.size)
         elif axis == "decreasing":
             delays = delays[::-1]
@@ -228,9 +228,27 @@ class TestLongDoubleOracle:
         delays = np.linspace(-5 / SIGMA, 5 / SIGMA, 401)
         h = biphoton.exchange_kernel(jsa)
         out = hom.delay_transform(jsa.grid, delays)(h)
-        assert len(plan_builds) == 1 and plan_builds[0][0].size == 51
+        assert len(plan_builds) == 1 and plan_builds[0][0] == 51
         omega = jsa.grid.omega_minus()[50:]
         assert np.max(np.abs(out - long_double_transform(h, omega, delays))) <= 1e-12
+
+    def test_wide_axis_plan_stays_within_its_memory_budget(self, chip_state):
+        # 1 203 random delays in +-100 ps, over the chip's revivals at +-52 ps:
+        # one window over the whole axis would hold about 200 MB of coarse phasors.
+        jsa, _ = chip_state
+        delays = np.random.default_rng(2).uniform(-1e-10, 1e-10, 1203)
+        h = biphoton.exchange_kernel(jsa)
+        tracemalloc.start()
+        try:
+            transform = hom.delay_transform(jsa.grid, delays)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 32 * 2**20
+        out = transform(h)
+        sample = np.linspace(0, delays.size - 1, 21).astype(int)
+        omega = jsa.grid.omega_minus()[jsa.grid.points_minus // 2 :]
+        assert np.max(np.abs(out[sample] - long_double_transform(h, omega, delays[sample]))) <= 1e-12
 
 
 class TestPlanBuilds:
@@ -250,14 +268,14 @@ class TestPlanBuilds:
 
     def test_a_plan_lives_as_long_as_its_transform(self, monkeypatch):
         plans = []
-        build = hom._chirp_z_plan
+        build = hom._block_plan
 
-        def watched(omega, delays):
-            plan = build(omega, delays)
+        def watched(n, step, delays):
+            plan = build(n, step, delays)
             plans.append(weakref.ref(plan))
             return plan
 
-        monkeypatch.setattr(hom, "_chirp_z_plan", watched)
+        monkeypatch.setattr(hom, "_block_plan", watched)
         jsa = gaussian_state(points=1001)
         delays = np.linspace(-4 / SIGMA, 4 / SIGMA, 64)
         first = hom.coincidence_trace(jsa, delays).p_coincidence
@@ -269,7 +287,7 @@ class TestPlanBuilds:
         del transform
         assert all(plan() is None for plan in plans)
 
-    def test_fit_model_on_near_uniform_axis_is_the_direct_sum(self, plan_builds, monkeypatch):
+    def test_fit_model_on_jittered_axis_matches_full_grid_sum(self, plan_builds, monkeypatch):
         problem, theta = small_problem_parts()
         delays = jittered(problem.delays, 0.2)
         jsa = biphoton.assemble_jsa_mono(
@@ -372,6 +390,7 @@ class TestTraceBasics:
             [0.0, math.nan, 1e-13],
             list(np.linspace(-1 / SIGMA, 1 / SIGMA, 19)) + [math.inf],
             [-math.inf, 0.0, 1e-13],
+            [-1e308, 0.0, 1e308],  # finite delays, but their span overflows
         ],
     )
     def test_non_finite_delays_rejected(self, delays):

@@ -17,12 +17,16 @@ def test_import_loads_no_submodule():
 
 
 def test_cli_import_leaves_scipy_signal_out():
-    # The delay transform runs on scipy.fft; importing scipy.signal as well
-    # nearly doubles the time ``import qcomb.cli`` takes.
+    # Importing scipy.signal nearly doubles the time ``import qcomb.cli``
+    # takes; the delay transform needs no scipy at all.
     src = str(Path(qcomb.__file__).resolve().parents[1])
-    code = "import sys, qcomb.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=src, capture_output=True, text=True, check=True, timeout=120,
-    ).stdout
-    assert out.strip() == "False"
+
+    def loaded(module):
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=src, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.strip()
+
+    assert "'scipy.signal'" not in loaded("qcomb.cli")
+    assert loaded("qcomb.hom") == "[]"

@@ -1,8 +1,9 @@
 """Randomized invariant suites (100+ cases each).
 
 Covers: exchange-overlap bound, delay composition, trace symmetry, comb
-revival periodicity, delay-shift invariance of the trace observables,
-configuration round-trip, and output determinism.
+revival periodicity, delay-shift invariance of the trace observables, the
+delay transform against a long-double sum, configuration round-trip, and
+output determinism.
 """
 
 import enum
@@ -120,6 +121,43 @@ def test_delay_shift_invariance(rng):
         v, fwhm = observables(int(rng.integers(-400, 401)) * step)
         assert v == pytest.approx(v0, abs=1e-9)
         assert fwhm == pytest.approx(fwhm0, rel=1e-6)
+
+
+@st.composite
+def transform_cases(draw):
+    """An odd 1D grid, a random Hermitian half kernel h with real h[0] and
+    2 sum |h| <= 1, and a random axis: unsorted, with repeats, and with a
+    span from 0 (every delay equal) up to one whose blocks are 1 sample."""
+    points = 2 * draw(st.integers(1, 100)) + 1
+    step = draw(st.floats(1e9, 1e13))
+    grid = SpectralGrid(span_minus=step * (points - 1), points_minus=points)
+    n = points // 2 + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.normal(size=n) + 1j * rng.normal(size=n)
+    h[0] = h[0].real
+    h *= draw(st.floats(0.0, 1.0)) / (2.0 * np.sum(np.abs(h)))
+    # Log-uniform widths in radians per grid step, 0 below 1e-4; the largest
+    # phases stay below about 1e4 rad, where double rounding of the phase
+    # alone reaches 1e-12.
+    scale = draw(st.floats(-5.0, math.log10(1e4 / n)))
+    width = (0.0 if scale < -4.0 else 10.0**scale) / step
+    delays = draw(st.floats(-1e4, 1e4)) / (n * step) + rng.uniform(-width / 2, width / 2, draw(st.integers(2, 40)))
+    delays[rng.integers(delays.size, size=delays.size // 3)] = delays[0]
+    return grid, h, delays
+
+
+@settings(max_examples=N_CASES, deadline=None)
+@given(case=transform_cases())
+def test_delay_transform_matches_long_double_sum(case):
+    grid, h, delays = case
+    transform = hom.delay_transform(grid, delays)
+    out = transform(h)
+    assert out.dtype == float
+    omega = grid.omega_minus()[grid.points_minus // 2 :].astype(np.longdouble)
+    exact = [2.0 * np.real(np.sum(h.astype(np.clongdouble) * np.exp(-1j * omega * t))) for t in delays.astype(np.longdouble)]
+    assert np.max(np.abs(out - np.array(exact))) <= 1e-12
+    p = hom.coincidence_probability(h, transform)
+    assert np.all((0.0 <= p) & (p <= 1.0))
 
 
 positive_freq = st.floats(min_value=1e9, max_value=1e16, allow_nan=False)
