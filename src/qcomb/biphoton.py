@@ -39,19 +39,17 @@ MAX_POINTS = 2**24 + 1
 class SpectralGrid:
     """Uniform grid of angular-frequency detunings.
 
-    Always carries a difference-frequency (w-) axis; a 2D grid adds a
-    sum-frequency (w+) axis. A 1D grid is symmetric about w- = 0 with an
-    odd point count, so the exchange w- -> -w- is an exact index map on it
-    (``GridSymmetryError`` otherwise); a 2D grid takes any ``center_minus``
-    and point count.
+    Always carries a difference-frequency (w-) axis centred on w- = 0; a 2D
+    grid adds a sum-frequency (w+) axis centred on the pump frequency
+    (``axes``). A 1D grid has an odd point count, so the exchange
+    w- -> -w- is an exact index map on it (``GridSymmetryError``
+    otherwise); a 2D grid takes any point count.
     """
 
     span_minus: float
     points_minus: int
-    center_minus: float = 0.0
     span_plus: float | None = None
     points_plus: int | None = None
-    center_plus: float | None = None
 
     def __post_init__(self):
         require_finite(self)
@@ -61,17 +59,16 @@ class SpectralGrid:
                 raise ValidationError(f"SpectralGrid.{name} must be an integer, got {value!r}")
         if self.span_minus <= 0 or self.points_minus < 2:
             raise ValidationError("grid needs span_minus > 0 and points_minus >= 2")
-        two_d = [self.span_plus, self.points_plus, self.center_plus]
-        if any(v is not None for v in two_d) and any(v is None for v in two_d):
-            raise ValidationError("2D grid needs span_plus, points_plus and center_plus")
+        if (self.span_plus is None) != (self.points_plus is None):
+            raise ValidationError("2D grid needs span_plus and points_plus")
         if self.span_plus is not None and (self.span_plus <= 0 or self.points_plus < 2):
             raise ValidationError("grid needs span_plus > 0 and points_plus >= 2")
         if int(self.points_minus) * int(self.points_plus or 1) > MAX_POINTS:
             raise ValidationError(f"grid holds more than MAX_POINTS = {MAX_POINTS} samples")
-        if not self.is_two_dimensional and (self.center_minus != 0.0 or self.points_minus % 2 == 0):
+        if not self.is_two_dimensional and self.points_minus % 2 == 0:
             raise GridSymmetryError(
                 "the exchange of a 1D state requires a grid symmetric about w- = 0 with an odd point"
-                f" count, got {self.points_minus!r} points centred at {self.center_minus!r}"
+                f" count, got {self.points_minus!r} points"
             )
 
     @property
@@ -89,16 +86,7 @@ class SpectralGrid:
         return self.span_plus / (self.points_plus - 1)
 
     def omega_minus(self) -> np.ndarray:
-        return self.center_minus + np.linspace(
-            -self.span_minus / 2.0, self.span_minus / 2.0, self.points_minus
-        )
-
-    def omega_plus(self) -> np.ndarray:
-        if not self.is_two_dimensional:
-            raise ValidationError("1D grid has no sum-frequency axis")
-        return self.center_plus + np.linspace(
-            -self.span_plus / 2.0, self.span_plus / 2.0, self.points_plus
-        )
+        return np.linspace(-self.span_minus / 2.0, self.span_minus / 2.0, self.points_minus)
 
     def check_pump(self, pump: PumpSpec) -> None:
         """Refuse a pump the grid does not pair with: a monochromatic pump
@@ -111,9 +99,12 @@ class SpectralGrid:
             )
 
     def axes(self, pump_frequency: float):
-        """(w+, w-) shaped like the amplitudes; w+ is the pump frequency in 1D."""
+        """(w+, w-) shaped like the amplitudes: w+ is the pump frequency in
+        1D, and a column centred on it in 2D."""
         if self.is_two_dimensional:
-            return self.omega_plus()[:, None], self.omega_minus()[None, :]
+            half = self.span_plus / 2.0
+            wp = pump_frequency + np.linspace(-half, half, self.points_plus)
+            return wp[:, None], self.omega_minus()[None, :]
         return pump_frequency, self.omega_minus()
 
 

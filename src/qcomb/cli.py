@@ -1,10 +1,11 @@
 """Command-line entry point: jsi / hom / sweep / fit.
 
-All physics parameters come from a single JSON configuration document;
-flags only pick the command, paths, resolution overrides, and the seed.
+One JSON configuration document holds the physics, the spectral grid and
+the fit seed; flags only pick the command, the paths, and the length of
+the delay (hom) or detuning (sweep) axis the command builds itself.
 Exported CSVs open with a '#' provenance comment (tool version and the
-SHA-256 of the configuration file) so outputs are traceable and runs with
-identical config and seed are byte-identical.
+SHA-256 of the configuration file) so outputs are traceable and runs of
+one configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +44,12 @@ class _Run:
         raw = path.read_bytes()
         self.config: RunConfig = parse_config(raw.decode("utf-8"))
         self.sha = hashlib.sha256(raw).hexdigest()
-        self.seed = args.seed if args.seed is not None else self.config.seed
         self.points = args.points
         self.data = args.data
         command = args.command
         if self.points is not None:
-            if command == "fit":
-                raise ValidationError("fit takes no --points")
+            if command in ("jsi", "fit"):
+                raise ValidationError(f"{command} takes no --points")
             if not 2 <= self.points <= biphoton.MAX_POINTS:
                 raise ValidationError(f"--points must be at least 2 and at most {biphoton.MAX_POINTS}")
             if command == "sweep" and self.points < 3:
@@ -63,11 +63,9 @@ class _Run:
             raise ValidationError("sweep applies its own flip delay, not config.delay_s; set it to 0")
         if command != "fit" and self.data is not None:
             raise ValidationError("--data is read only by fit")
-        if command != "fit" and args.seed is not None:
-            raise ValidationError("--seed is read only by fit")
         if command == "fit" and self.data is None:
             raise DataFormatError("fit requires --data <csv path>")
-        self.out = Path(args.out) if args.out else Path(self.config.output_dir)
+        self.out = Path(args.out)
 
     def _write(self, name, text):
         self.out.mkdir(parents=True, exist_ok=True)
@@ -116,19 +114,13 @@ def _symmetry_payload(overlap, pump_frequency, cavity):
 
 def _cmd_jsi(run: _Run) -> int:
     config = run.config
-    if run.points is not None:
-        grid = replace(config.grid, points_minus=run.points)
-        if grid.is_two_dimensional:
-            grid = replace(grid, points_plus=run.points)
-        config = replace(config, grid=grid)
     jsa = _assemble(config)
     intensity = biphoton.jsi(jsa)
     meta = {"norm_squared": jsa.norm_squared, "applied_factors": list(jsa.applied_factors)}
-    wm = config.grid.omega_minus()
+    wp, wm = config.grid.axes(jsa.pump_frequency)
     if config.grid.is_two_dimensional:
-        wp = config.grid.omega_plus()
-        rows = [[""] + [_fmt(w) for w in wm]]
-        rows += [[_fmt(wp[i])] + [_fmt(v) for v in intensity[i]] for i in range(wp.size)]
+        rows = [[""] + [_fmt(w) for w in wm.ravel()]]
+        rows += [[_fmt(w)] + [_fmt(v) for v in row] for w, row in zip(wp.ravel(), intensity)]
         run.write_csv("jsi.csv", "omega_plus_rad_per_s\\omega_minus_rad_per_s", rows)
     else:
         overlap = biphoton.exchange_overlap(jsa)
@@ -201,7 +193,8 @@ def _cmd_sweep(run: _Run) -> int:
 
 
 def read_data_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column delay/counts CSV of counts >= 0, reporting bad rows by line number."""
+    """Read a two-column delay/counts CSV of finite delays and finite counts >= 0,
+    reporting bad rows by line number."""
     taus, counts = [], []
     header_seen = False
     with open(path) as fh:
@@ -224,6 +217,8 @@ def read_data_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 tau, count = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not (np.isfinite(tau) and np.isfinite(count)):
+                raise DataFormatError(f"{path}:{lineno}: tau_s and counts must be finite, got {line!r}")
             if count < 0.0:
                 raise DataFormatError(f"{path}:{lineno}: counts must be non-negative, got {count!r}")
             taus.append(tau)
@@ -262,7 +257,7 @@ def _cmd_fit(run: _Run) -> int:
         state_delay=config.delay,
     )
     result = estimation.fit_hom_trace(
-        problem, estimation.FitSettings(seed=run.seed)
+        problem, estimation.FitSettings(seed=config.seed)
     )
     report = asdict(result)  # a half-width with no curvature is inf, written as null
     report["confidence"] = {n: v if np.isfinite(v) else None for n, v in result.confidence.items()}
@@ -280,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="JSON configuration path")
-    parser.add_argument("--out", help="output directory (default from config)")
-    parser.add_argument("--points", type=int, help="resolution override (jsi, hom, sweep)")
-    parser.add_argument("--seed", type=int, help="seed override (fit only)")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument("--points", type=int, help="number of delays (hom) or detunings (sweep)")
     parser.add_argument("--data", help="input trace CSV (fit only, required)")
     return parser
 

@@ -35,7 +35,7 @@ _FREQ_SUFFIXES = {
 
 # Field kinds. A frequency key is a base name that takes a unit suffix; an
 # enum.Enum subclass as the kind reads a string naming one of its values.
-FREQUENCY, NUMBER, INTEGER, STRING = "frequency", "number", "integer", "string"
+FREQUENCY, NUMBER, INTEGER = "frequency", "number", "integer"
 
 #: Sections as (attribute, spec class, required, fields); each field is
 #: (attribute, JSON key, kind, required).
@@ -60,10 +60,8 @@ SCHEMA = (
     ("grid", SpectralGrid, True, (
         ("span_minus", "span_minus", FREQUENCY, True),
         ("points_minus", "points_minus", INTEGER, True),
-        ("center_minus", "center_minus", FREQUENCY, False),
         ("span_plus", "span_plus", FREQUENCY, False),
         ("points_plus", "points_plus", INTEGER, False),
-        ("center_plus", "center_plus", FREQUENCY, False),
     )),
     ("filter", FilterSpec, False, (
         ("shape", "shape", FilterShape, False),
@@ -75,14 +73,13 @@ SCHEMA = (
 #: Top-level scalar fields of the document, as RunConfig fields.
 ROOT_FIELDS = (
     ("delay", "delay_s", NUMBER, False),
-    ("output_dir", "output_dir", STRING, False),
     ("seed", "seed", INTEGER, False),
 )
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated physics parameters plus run plumbing for one invocation."""
+    """Validated physics parameters, grid and fit seed of one invocation."""
 
     pump: PumpSpec
     phase_match: PhaseMatchSpec
@@ -90,7 +87,6 @@ class RunConfig:
     grid: SpectralGrid
     delay: float = 0.0
     filter: FilterSpec | None = None
-    output_dir: str = "out"
     seed: int = 0
 
     def __post_init__(self):
@@ -148,11 +144,11 @@ def _field(data, path, key, kind, required, problems):
     value = data.pop(key)
     if kind == NUMBER:
         return _number(value, where, problems)
-    expected, cls = (INTEGER, int) if kind == INTEGER else (STRING, str)
+    expected, cls = (INTEGER, int) if kind == INTEGER else ("string", str)
     if isinstance(value, bool) or not isinstance(value, cls):
         problems.append(f"{where}: expected a {expected}")
         return None
-    if kind in (INTEGER, STRING):
+    if kind == INTEGER:
         return value
     try:
         return kind(value)

@@ -207,13 +207,7 @@ def test_criterion_8_jsi_periodicity():
     fsr = presets.FSR
     cav = CavitySpec(fsr=fsr, reflectivity_signal=0.8, reflectivity_idler=0.8)
     pump = PumpSpec(center_frequency=presets.PUMP_RESONANT, linewidth=40 * fsr)
-    grid = SpectralGrid(
-        span_minus=8 * fsr,
-        points_minus=1025,
-        span_plus=8 * fsr,
-        points_plus=1025,
-        center_plus=presets.PUMP_RESONANT,
-    )
+    grid = SpectralGrid(span_minus=8 * fsr, points_minus=1025, span_plus=8 * fsr, points_plus=1025)
     jsa = biphoton.assemble_jsa(pump, presets.chip_phase_match(), cav, grid)
     intensity = biphoton.jsi(jsa)
     spectrum = np.fft.fft2(intensity - intensity.mean())

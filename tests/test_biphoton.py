@@ -37,36 +37,35 @@ class TestSpectralGrid:
         "fields",
         [
             dict(span_minus=10.0, points_minus=10),
-            dict(span_minus=10.0, points_minus=11, center_minus=1.0),
             dict(span_minus=2.0, points_minus=4),
-            dict(span_minus=2.0, points_minus=5, center_minus=0.01),
             dict(span_minus=12 * 2 * math.pi * 1e12, points_minus=1000),
             dict(span_minus=16 * FSR, points_minus=512),
-            dict(span_minus=16 * FSR, points_minus=513, center_minus=0.5 * FSR),
-            dict(span_minus=16 * FSR, points_minus=513, center_minus=2 * math.pi * 3e9),
         ],
-        ids=["even", "off_centre", "even_4", "off_centre_by_0.01", "even_1000", "even_512",
-             "off_centre_by_half_fsr", "off_centre_by_3ghz"],
+        ids=["even", "even_4", "even_1000", "even_512"],
     )
     def test_1d_grid_is_symmetric_by_construction(self, fields):
         # The exchange w- -> -w- pairs samples by reversing the array.
         message = "requires a grid symmetric about w- = 0 with an odd point count"
         with pytest.raises(GridSymmetryError, match=message):
             SpectralGrid(**fields)
-        # Only a 1D grid: a 2D grid takes any centre and point count.
-        SpectralGrid(**fields, span_plus=4.0, points_plus=4, center_plus=100.0)
+        # Only a 1D grid: a 2D grid takes any point count.
+        SpectralGrid(**fields, span_plus=4.0, points_plus=4)
 
     def test_two_dimensional(self):
-        g = SpectralGrid(
-            span_minus=10.0,
-            points_minus=11,
-            span_plus=4.0,
-            points_plus=5,
-            center_plus=100.0,
-        )
+        g = SpectralGrid(span_minus=10.0, points_minus=11, span_plus=4.0, points_plus=5)
         assert g.is_two_dimensional
         assert g.step_plus == 1.0
-        assert g.omega_plus()[0] == 98.0
+
+    def test_axes_centre_w_plus_on_the_pump_and_w_minus_on_zero(self):
+        two_d = SpectralGrid(span_minus=10.0, points_minus=10, span_plus=4.0, points_plus=5)
+        wp, wm = two_d.axes(100.0)
+        assert wp.shape == (5, 1) and wm.shape == (1, 10)
+        assert np.array_equal(wp[:, 0], [98.0, 99.0, 100.0, 101.0, 102.0])
+        assert np.allclose(wm[0] + wm[0, ::-1], 0.0)
+        one_d = SpectralGrid(span_minus=10.0, points_minus=11)
+        wp, wm = one_d.axes(100.0)
+        assert wp == 100.0
+        assert np.array_equal(wm, np.arange(-5.0, 6.0))
 
     def test_partial_2d_spec_rejected(self):
         with pytest.raises(ValidationError):
@@ -90,14 +89,14 @@ class TestSpectralGrid:
     )
     def test_oversized_grid_rejected(self, points):
         if "points_plus" in points:
-            points = dict(points, span_plus=4.0, center_plus=100.0)
+            points = dict(points, span_plus=4.0)
         with pytest.raises(ValidationError, match="more than MAX_POINTS"):
             SpectralGrid(span_minus=10.0, **points)
 
     @pytest.mark.parametrize("field", ["points_minus", "points_plus"])
     @pytest.mark.parametrize("value", [5.0, 2.5])
     def test_non_integer_points_rejected(self, field, value):
-        fields = dict(span_minus=10.0, points_minus=11, span_plus=4.0, points_plus=5, center_plus=100.0)
+        fields = dict(span_minus=10.0, points_minus=11, span_plus=4.0, points_plus=5)
         with pytest.raises(ValidationError, match=f"SpectralGrid.{field} must be an integer"):
             SpectralGrid(**dict(fields, **{field: value}))
 
@@ -163,20 +162,14 @@ class TestAssembly:
         pump = PumpSpec(center_frequency=200 * FSR, linewidth=linewidth)
         grid = fast_grid
         if two_d:
-            grid = dataclasses.replace(grid, span_plus=4 * FSR, points_plus=5, center_plus=200 * FSR)
+            grid = dataclasses.replace(grid, span_plus=4 * FSR, points_plus=5)
         with pytest.raises(ValidationError, match="a monochromatic pump \\(linewidth 0\\) takes a 1D grid"):
             biphoton.assemble_jsa(pump, fast_phase_match, fast_cavity, grid)
 
     def test_broadband_checkerboard_norm_positive(self, fast_phase_match):
         cav = CavitySpec(fsr=FSR, reflectivity_signal=0.5, reflectivity_idler=0.5)
         pump = PumpSpec(center_frequency=200 * FSR, linewidth=10 * FSR)
-        grid = SpectralGrid(
-            span_minus=8 * FSR,
-            points_minus=257,
-            span_plus=8 * FSR,
-            points_plus=257,
-            center_plus=200 * FSR,
-        )
+        grid = SpectralGrid(span_minus=8 * FSR, points_minus=257, span_plus=8 * FSR, points_plus=257)
         jsa = biphoton.assemble_jsa(pump, fast_phase_match, cav, grid)
         assert jsa.norm_squared > 0
         assert jsa.amplitudes.shape == (257, 257)
@@ -184,22 +177,18 @@ class TestAssembly:
 
     def test_broadband_jsi_without_mirrors_is_pump_times_phase_match(self, fast_phase_match):
         # With both reflectivities 0 the Airy factor is a pure phase, so the
-        # 2D intensity is the pump's times the phase matching's.
+        # 2D intensity is the pump's times the phase matching's, on a window
+        # centred on the pump (w+) and on w- = 0, with an even w- count.
         cav = CavitySpec(fsr=FSR, reflectivity_signal=0.0, reflectivity_idler=0.0)
         pump = PumpSpec(center_frequency=200 * FSR, linewidth=3 * FSR)
-        grid = SpectralGrid(
-            span_minus=8 * FSR,
-            points_minus=33,
-            center_minus=0.3 * FSR,
-            span_plus=6 * FSR,
-            points_plus=17,
-            center_plus=200.5 * FSR,
-        )
+        grid = SpectralGrid(span_minus=8 * FSR, points_minus=32, span_plus=6 * FSR, points_plus=17)
         pm = dataclasses.replace(fast_phase_match, walkoff=2e-12, dispersion=1e-24)
         intensity = biphoton.jsi(biphoton.assemble_jsa(pump, pm, cav, grid))
+        wp = 200 * FSR + np.linspace(-3 * FSR, 3 * FSR, 17)
+        wm = np.linspace(-4 * FSR, 4 * FSR, 32)
         expected = (
-            np.abs(spectral.eval_pump(pump, grid.omega_plus()))[:, None] ** 2
-            * spectral.phase_match_envelope(pm, grid.omega_minus())[None, :] ** 2
+            np.abs(spectral.eval_pump(pump, wp))[:, None] ** 2
+            * spectral.phase_match_envelope(pm, wm)[None, :] ** 2
         )
         np.testing.assert_allclose(intensity, expected, rtol=1e-12, atol=0.0)
 
@@ -478,7 +467,7 @@ class TestExchangeKernelModel:
         broadband = PumpSpec(center_frequency=200 * FSR, linewidth=FSR)
         with pytest.raises(ValidationError, match="does not pair with a 1D grid"):
             model(broadband, fast_phase_match, fast_cavity, fast_grid)
-        two_d = dataclasses.replace(fast_grid, span_plus=4 * FSR, points_plus=5, center_plus=200 * FSR)
+        two_d = dataclasses.replace(fast_grid, span_plus=4 * FSR, points_plus=5)
         with pytest.raises(ValidationError, match="1D grid"):
             model(resonant_pump, fast_phase_match, fast_cavity, two_d)
         sharp = CavitySpec(fsr=FSR, reflectivity_signal=0.99, reflectivity_idler=0.99)
@@ -528,7 +517,7 @@ SPECS = [
     PhaseMatchSpec(degeneracy_frequency=100 * FSR, bandwidth=4 * FSR, walkoff=1e-12, dispersion=1e-24),
     FilterSpec(center=100 * FSR, bandwidth=FSR),
     CavitySpec(fsr=FSR, reflectivity_signal=0.4, reflectivity_idler=0.3, resonance_offset=0.1 * FSR),
-    SpectralGrid(span_minus=16 * FSR, points_minus=11, span_plus=4 * FSR, points_plus=5, center_plus=200 * FSR),
+    SpectralGrid(span_minus=16 * FSR, points_minus=11, span_plus=4 * FSR, points_plus=5),
 ]
 FLOAT_FIELDS = [
     (spec, f.name)

@@ -117,7 +117,6 @@ class TestParseConfig:
                 ["config.grid.points_minus: expected a integer"],
             ),
             (lambda d: d.update(seed="1"), ["config.seed: expected a integer"]),
-            (lambda d: d.update(output_dir=5), ["config.output_dir: expected a string"]),
             (lambda d: d["phase_match"].update(shape=3), ["config.phase_match.shape: expected a string"]),
             (
                 lambda d: d["phase_match"].update(shape="box"),
@@ -151,7 +150,7 @@ class TestParseConfig:
         ],
         ids=[
             "unsupported-unit", "frequency-not-number", "bool-not-number", "float-not-integer",
-            "string-not-integer", "not-string", "enum-not-string", "phase-match-shape-not-member",
+            "string-not-integer", "enum-not-string", "phase-match-shape-not-member",
             "pump-mode-unknown", "filter-shape-not-member", "filter-not-object",
             "section-before-root-scalars",
         ],
@@ -176,9 +175,7 @@ NUMERIC_KEYS = [
     ("cavity", "reflectivity_idler"),
     ("cavity", "resonance_offset_ghz"),
     ("grid", "span_minus_ghz"),
-    ("grid", "center_minus_ghz"),
     ("grid", "span_plus_ghz"),
-    ("grid", "center_plus_ghz"),
     ("filter", "center_ghz"),
     ("filter", "bandwidth_ghz"),
     (None, "delay_s"),
@@ -236,8 +233,8 @@ def read_csv_lines(path):
 
 class TestCli:
     def test_jsi_outputs_and_provenance(self, tmp_path):
-        cfg = write_config(tmp_path, small_config_doc(output_dir=str(tmp_path / "out")))
-        assert cli.main(["jsi", "--config", cfg]) == 0
+        cfg = write_config(tmp_path, small_config_doc())
+        assert cli.main(["jsi", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         csv = tmp_path / "out" / "jsi.csv"
         lines = read_csv_lines(csv)
         assert lines[0].startswith("# qcomb ")
@@ -247,31 +244,6 @@ class TestCli:
         meta = json.loads((tmp_path / "out" / "jsi_meta.json").read_text())
         assert meta["pump_class"]["label"] == "resonant"
         assert meta["norm_squared"] > 0
-
-    def test_jsi_points_override_1d(self, tmp_path):
-        cfg = write_config(tmp_path, small_config_doc())
-        assert cli.main(["jsi", "--config", cfg, "--out", str(tmp_path / "out"),
-                         "--points", "301"]) == 0
-        lines = read_csv_lines(tmp_path / "out" / "jsi.csv")
-        assert len(lines) == 2 + 301
-
-    def test_jsi_points_override_2d(self, tmp_path):
-        doc = small_config_doc()
-        doc["pump"].update(linewidth_ghz=40 * FSR_GHZ)
-        doc["grid"] = {
-            "span_minus_ghz": 4 * FSR_GHZ,
-            "points_minus": 129,
-            "span_plus_ghz": 4 * FSR_GHZ,
-            "points_plus": 129,
-            "center_plus_ghz": 2 * 100 * FSR_GHZ,
-        }
-        cfg = write_config(tmp_path, doc)
-        assert cli.main(["jsi", "--config", cfg, "--out", str(tmp_path / "out"),
-                         "--points", "101"]) == 0
-        rows = [line.split(",") for line in read_csv_lines(tmp_path / "out" / "jsi.csv")[2:]]
-        # One omega_minus header row, then one row per omega_plus sample.
-        assert len(rows) == 1 + 101
-        assert all(len(row) == 1 + 101 for row in rows)
 
     def test_jsi_deterministic_bytes(self, tmp_path):
         cfg = write_config(tmp_path, small_config_doc())
@@ -340,9 +312,7 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 1
 
     @pytest.mark.parametrize("points", ["0", "-5"])
-    @pytest.mark.parametrize(
-        "command, output", [("jsi", "jsi.csv"), ("hom", "hom_trace.csv"), ("sweep", "sweep.csv")]
-    )
+    @pytest.mark.parametrize("command, output", [("hom", "hom_trace.csv"), ("sweep", "sweep.csv")])
     def test_points_below_two_rejected(self, tmp_path, capsys, command, output, points):
         cfg = write_config(tmp_path, small_config_doc())
         out = tmp_path / "out"
@@ -358,6 +328,18 @@ class TestCli:
         argv = ["fit", "--config", cfg, "--out", str(out), "--data", str(data), "--points", "7"]
         assert cli.main(argv) == 1
         assert "qcomb: error: fit takes no --points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jsi_rejects_points_before_assembly(self, tmp_path, capsys, monkeypatch):
+        # The config's grid alone sets the size of the state jsi writes.
+        assembled = []
+        assemble = biphoton.assemble_jsa
+        monkeypatch.setattr(biphoton, "assemble_jsa", lambda *a: assembled.append(a) or assemble(*a))
+        cfg = write_config(tmp_path, small_config_doc())
+        out = tmp_path / "out"
+        assert cli.main(["jsi", "--config", cfg, "--out", str(out), "--points", "301"]) == 1
+        assert "qcomb: error: jsi takes no --points" in capsys.readouterr().err
+        assert assembled == []
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["jsi", "hom", "sweep"])
@@ -405,27 +387,15 @@ class TestCli:
         assert cli.main(argv) == 0
         assert len(kernels) == 1
 
-    @pytest.mark.parametrize(
-        "command, grid_change, flags",
-        [
-            ("jsi", {"points_minus": 512}, []),
-            ("jsi", {"center_minus_ghz": 3.0}, []),
-            ("jsi", {}, ["--points", "512"]),
-            ("hom", {"points_minus": 512}, []),
-            ("hom", {"center_minus_ghz": 3.0}, []),
-        ],
-        ids=["jsi-even", "jsi-off-centre", "jsi-even-points-flag", "hom-even", "hom-off-centre"],
-    )
-    def test_asymmetric_1d_grid_refused_before_assembly(
-        self, tmp_path, capsys, monkeypatch, command, grid_change, flags
-    ):
+    @pytest.mark.parametrize("command", ["jsi", "hom"], ids=["jsi-even", "hom-even"])
+    def test_asymmetric_1d_grid_refused_before_assembly(self, tmp_path, capsys, monkeypatch, command):
         assembled = []
         assemble = biphoton.assemble_jsa
         monkeypatch.setattr(biphoton, "assemble_jsa", lambda *a: assembled.append(a) or assemble(*a))
         doc = small_config_doc()
-        doc["grid"].update(grid_change)
+        doc["grid"]["points_minus"] = 512
         out = tmp_path / "out"
-        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out), *flags]
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
         assert cli.main(argv) == 1
         assert "requires a grid symmetric about w- = 0" in capsys.readouterr().err
         assert assembled == []
@@ -441,14 +411,6 @@ class TestCli:
         report = json.loads((out / "hom_report.json").read_text())
         assert report["visibility"] is None
         assert report["fwhm_s"] is None
-
-    @pytest.mark.parametrize("command", ["jsi", "hom", "sweep"])
-    def test_seed_rejected_outside_fit(self, tmp_path, capsys, command):
-        cfg = write_config(tmp_path, small_config_doc())
-        out = tmp_path / "out"
-        assert cli.main([command, "--config", cfg, "--out", str(out), "--seed", "1"]) == 1
-        assert "qcomb: error: --seed is read only by fit" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_negative_pump_linewidth_refused(self, tmp_path, capsys):
         doc = small_config_doc()
@@ -484,6 +446,36 @@ class TestCli:
         assert cli.main(argv) == 1
         assert "a monochromatic pump (linewidth 0) takes a 1D grid" in capsys.readouterr().err
         assert assembled == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "golden, section, key",
+        [("chip", None, "output_dir"), ("chip", "grid", "center_minus_ghz"),
+         ("broadband_2d", "grid", "center_minus_ghz"), ("broadband_2d", "grid", "center_plus_ghz")],
+    )
+    def test_removed_settings_refused_as_unknown_keys(self, tmp_path, capsys, golden, section, key):
+        # The output directory is --out's alone; w- is centred on 0, and w+ on the pump.
+        doc = json.loads((GOLDEN / golden / "config.json").read_text())
+        elsewhere = tmp_path / "elsewhere"
+        value = str(elsewhere) if key == "output_dir" else 0.0
+        (doc if section is None else doc[section])[key] = value
+        path = "config" if section is None else f"config.{section}"
+        with pytest.raises(ConfigError, match=f"{path}.{key}: unknown key"):
+            parse_config(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["jsi", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert f"{path}.{key}: unknown key" in capsys.readouterr().err
+        assert not out.exists() and not elsewhere.exists()
+
+    def test_seed_is_not_a_flag(self, tmp_path, capsys):
+        # The fit seed is the config's seed alone.
+        assert "--seed" not in cli.build_parser().format_help()
+        cfg = str(GOLDEN / "chip" / "config.json")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["fit", "--config", cfg, "--out", str(out), "--data", "d.csv", "--seed", "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
@@ -545,7 +537,7 @@ class TestCli:
         assert report["confidence"]["dispersion"] is None
         assert all(isinstance(v, float) for k, v in report["confidence"].items() if k != "dispersion")
 
-    @pytest.mark.parametrize("command", ["jsi", "hom", "sweep"])
+    @pytest.mark.parametrize("command", ["hom", "sweep"])
     def test_oversized_points_refused_before_any_allocation(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, small_config_doc())
         out = tmp_path / "out"
@@ -554,16 +546,6 @@ class TestCli:
             cli._Run(cli.build_parser().parse_args(argv))  # set-up, before any command runs
         assert cli.main(argv) == 1
         assert f"--points must be at least 2 and at most {biphoton.MAX_POINTS}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_oversized_2d_jsi_grid_refused(self, tmp_path, capsys):
-        # 4097 points on each axis of a 2D grid: 4097^2 > MAX_POINTS samples.
-        out = tmp_path / "out"
-        cfg = str(GOLDEN / "broadband_2d" / "config.json")
-        with pytest.raises(ValidationError, match="more than MAX_POINTS"):
-            cli._cmd_jsi(cli._Run(cli.build_parser().parse_args(
-                ["jsi", "--config", cfg, "--out", str(out), "--points", "4097"]
-            )))
         assert not out.exists()
 
     def test_oversized_config_grid_refused(self):
@@ -585,10 +567,9 @@ class TestCli:
         assert "config.filter" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid_change", [{"center_minus_ghz": 3.0}, {"points_minus": 512}])
-    def test_fit_rejects_asymmetric_grid(self, tmp_path, capsys, grid_change):
+    def test_fit_rejects_asymmetric_grid(self, tmp_path, capsys):
         doc = small_config_doc()
-        doc["grid"].update(grid_change)
+        doc["grid"]["points_minus"] = 512
         cfg = write_config(tmp_path, doc)
         data = tmp_path / "data.csv"
         taus = np.linspace(-1e-10, 1e-10, 33)
@@ -599,19 +580,29 @@ class TestCli:
         assert "requires a grid symmetric about w- = 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["config", "flag"])
-    def test_fit_rejects_negative_seed(self, tmp_path, capsys, source):
-        cfg = write_config(tmp_path, small_config_doc(seed=-1 if source == "config" else 0))
+    def test_fit_rejects_negative_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config_doc(seed=-1))
         data = tmp_path / "data.csv"
         taus = np.linspace(-1e-10, 1e-10, 33)
         # Not constant: constant counts are refused before the check under test.
         data.write_text("tau_s,counts\n" + "".join(f"{t:.6e},{500 + k % 3}\n" for k, t in enumerate(taus)))
         out = tmp_path / "out"
         argv = ["fit", "--config", cfg, "--out", str(out), "--data", str(data)]
-        if source == "flag":
-            argv += ["--seed", "-1"]
         assert cli.main(argv) == 1
         assert "qcomb: error: fit seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["tau_s", "counts"])
+    def test_fit_refuses_non_finite_row_naming_line(self, tmp_path, capsys, column, literal):
+        cfg = write_config(tmp_path, small_config_doc())
+        rows = [[f"{k}e-13", f"{500 + k % 3}"] for k in range(-8, 9)]
+        rows[4][["tau_s", "counts"].index(column)] = literal
+        data = tmp_path / "data.csv"
+        data.write_text("tau_s,counts\n" + "".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 2
+        assert f"{data}:6: tau_s and counts must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fit_missing_data_file(self, tmp_path):

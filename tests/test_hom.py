@@ -172,10 +172,8 @@ class TestHalfSpectrum:
         assert np.max(np.abs(out - direct_sum(full_kernel(h), grid.omega_minus(), delays))) < 1e-14
 
     def test_2d_grid_rejected(self):
-        # A 2D grid may be off centre with an even count; the transform needs a 1D one.
-        grid = SpectralGrid(
-            span_minus=2.0, points_minus=4, center_minus=0.01, span_plus=2.0, points_plus=3, center_plus=9.0
-        )
+        # A 2D grid may have an even count; the transform needs a 1D one.
+        grid = SpectralGrid(span_minus=2.0, points_minus=4, span_plus=2.0, points_plus=3)
         with pytest.raises(ValidationError, match="defined for 1D grids"):
             hom.delay_transform(grid, [0.0, 1.0])
 

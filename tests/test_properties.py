@@ -170,12 +170,12 @@ def run_configs(draw):
     """RunConfigs that set every configuration key, in both grid shapes."""
     fsr = draw(positive_freq)
     points_minus = draw(points)
-    if draw(st.booleans()):  # a 2D grid, at any w- centre and count, and a broadband pump
+    if draw(st.booleans()):  # a 2D grid, at any w- count, and a broadband pump
         pump = PumpSpec(1000 * fsr, draw(positive_freq))
         # The grid holds at most MAX_POINTS samples over both axes.
         points_plus = draw(st.integers(min_value=3, max_value=biphoton.MAX_POINTS // points_minus))
-        plus = dict(span_plus=draw(positive_freq), points_plus=points_plus, center_plus=1000 * fsr)
-        minus = dict(points_minus=points_minus, center_minus=draw(signed_freq))
+        plus = dict(span_plus=draw(positive_freq), points_plus=points_plus)
+        minus = dict(points_minus=points_minus)
     else:  # a 1D grid is symmetric about w- = 0 with an odd count
         pump = PumpSpec(center_frequency=1000 * fsr)
         plus = {}
@@ -208,7 +208,6 @@ def run_configs(draw):
         grid=grid,
         delay=draw(st.floats(min_value=-1e-9, max_value=1e-9)),
         filter=filt,
-        output_dir=draw(st.text(max_size=20)),
         seed=draw(st.integers(min_value=0, max_value=2**31)),
     )
 
