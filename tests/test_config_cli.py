@@ -330,14 +330,20 @@ class TestCli:
         assert "qcomb: error: fit takes no --points" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_jsi_rejects_points_before_assembly(self, tmp_path, capsys, monkeypatch):
-        # The config's grid alone sets the size of the state jsi writes.
+    @pytest.mark.parametrize("points", ["301", "512", "0", "-5", str(biphoton.MAX_POINTS + 1)])
+    @pytest.mark.parametrize("grid", ["1d", "2d"])
+    def test_jsi_rejects_points_before_assembly(self, tmp_path, capsys, monkeypatch, grid, points):
+        # The config's grid alone sets the size of the state jsi writes, in
+        # either grid shape; any --points, in range or not, is refused as such.
         assembled = []
         assemble = biphoton.assemble_jsa
         monkeypatch.setattr(biphoton, "assemble_jsa", lambda *a: assembled.append(a) or assemble(*a))
-        cfg = write_config(tmp_path, small_config_doc())
+        if grid == "1d":
+            cfg = write_config(tmp_path, small_config_doc())
+        else:
+            cfg = str(GOLDEN / "broadband_2d" / "config.json")
         out = tmp_path / "out"
-        assert cli.main(["jsi", "--config", cfg, "--out", str(out), "--points", "301"]) == 1
+        assert cli.main(["jsi", "--config", cfg, "--out", str(out), "--points", points]) == 1
         assert "qcomb: error: jsi takes no --points" in capsys.readouterr().err
         assert assembled == []
         assert not out.exists()
@@ -450,8 +456,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "golden, section, key",
-        [("chip", None, "output_dir"), ("chip", "grid", "center_minus_ghz"),
-         ("broadband_2d", "grid", "center_minus_ghz"), ("broadband_2d", "grid", "center_plus_ghz")],
+        [("chip", None, "output_dir"), ("broadband_2d", None, "output_dir"),
+         ("chip", "grid", "center_minus_ghz"), ("chip", "grid", "center_plus_ghz"),
+         ("broadband_2d", "grid", "center_minus_ghz"), ("broadband_2d", "grid", "center_plus_ghz"),
+         # Every unit form of a removed centre is unknown, not a bad suffix.
+         ("chip", "grid", "center_minus_rad_per_s"), ("broadband_2d", "grid", "center_plus_thz")],
     )
     def test_removed_settings_refused_as_unknown_keys(self, tmp_path, capsys, golden, section, key):
         # The output directory is --out's alone; w- is centred on 0, and w+ on the pump.
@@ -467,13 +476,17 @@ class TestCli:
         assert f"{path}.{key}: unknown key" in capsys.readouterr().err
         assert not out.exists() and not elsewhere.exists()
 
-    def test_seed_is_not_a_flag(self, tmp_path, capsys):
-        # The fit seed is the config's seed alone.
+    @pytest.mark.parametrize("command", ["fit", "jsi", "hom", "sweep"])
+    def test_seed_is_not_a_flag(self, tmp_path, capsys, command):
+        # The fit seed is the config's seed alone; no command takes --seed.
         assert "--seed" not in cli.build_parser().format_help()
         cfg = str(GOLDEN / "chip" / "config.json")
         out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out), "--seed", "1"]
+        if command == "fit":
+            argv += ["--data", "d.csv"]
         with pytest.raises(SystemExit) as info:
-            cli.main(["fit", "--config", cfg, "--out", str(out), "--data", "d.csv", "--seed", "1"])
+            cli.main(argv)
         assert info.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not out.exists()
@@ -553,6 +566,22 @@ class TestCli:
         doc["grid"]["points_minus"] = biphoton.MAX_POINTS + 2
         with pytest.raises(ValidationError, match="more than MAX_POINTS"):
             parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "points_minus, points_plus",
+        [(4097, 4097), (41, biphoton.MAX_POINTS // 41 + 1)],
+        ids=["both-axes", "product-just-over"],
+    )
+    def test_oversized_2d_jsi_grid_refused(self, tmp_path, capsys, points_minus, points_plus):
+        # The bound is on the samples of both axes together, not on each axis.
+        doc = json.loads((GOLDEN / "broadband_2d" / "config.json").read_text())
+        doc["grid"].update(points_minus=points_minus, points_plus=points_plus)
+        with pytest.raises(ValidationError, match="more than MAX_POINTS"):
+            parse_config(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["jsi", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert "more than MAX_POINTS" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_rejects_filter(self, tmp_path, capsys):
         # The fit model has no filter, so a filtered trace would be fitted
